@@ -3,8 +3,7 @@
 from .functions import (AnalyticFunction, BlaschkeOmega, CatalogId,
                         MonomialOmega, SchwarzFunction, ZeroOmega, catalog,
                         make_schwarz, rotate_analytic)
-from .quadrature import (QuadratureConfig, ToleranceNotMet, antiderivative,
-                         antiderivative_many, integrate_segment)
+from .quadrature import ToleranceNotMet, antiderivative_many
 from .shear import (HarmonicMap, ShearSystem, analytic_combination,
                     harmonic_from_analytic, normalize, rotate_harmonic,
                     shear_construct)
@@ -24,14 +23,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticFunction", "BlaschkeOmega", "BoundaryCurve", "CatalogId",
     "ConvexityReport", "DirectionalReport", "FailureWitness", "HarmonicMap",
-    "MonomialOmega", "ProbeConfig", "ProbeReport", "QuadratureConfig",
+    "MonomialOmega", "ProbeConfig", "ProbeReport",
     "RegionId", "RotationValue", "SchwarzFunction", "ShearSystem",
-    "ToleranceNotMet", "ZeroOmega", "analytic_combination", "antiderivative",
+    "ToleranceNotMet", "ZeroOmega", "analytic_combination",
     "antiderivative_many", "boundary_rotation_value", "brannan_transform",
     "catalog", "convexity_check", "convexity_check_resolved",
     "css_characterization_check", "directional_convexity_check",
     "halfplane_strip_identifier", "harmonic_from_analytic",
-    "integrate_segment", "make_schwarz", "midpoint_certificate", "normalize",
+    "make_schwarz", "midpoint_certificate", "normalize",
     "parabola_residual", "probe_admissibility", "rotate_analytic",
     "rotate_harmonic", "rotated_counterexample_suite", "sample_boundary",
     "shear_construct", "vk_membership", "winding_number",

@@ -19,7 +19,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .functions import AnalyticFunction, require_unimodular
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .shear import antiderivative_function
 
 MIN_ANGLE_SAMPLES = 8192
@@ -54,8 +53,7 @@ def boundary_rotation_value(phi: AnalyticFunction, r: float,
     return RotationValue(r, float(2.0 * integrand.mean()), n)
 
 
-def brannan_transform(phi: AnalyticFunction, lam: complex, n_power: int,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> AnalyticFunction:
+def brannan_transform(phi: AnalyticFunction, lam: complex, n_power: int) -> AnalyticFunction:
     """psi with psi' = phi' (1 - lam z^N)/(1 + lam z^N), psi(0) = 0.
 
     For phi in V_k the transform lands in V_{k+2N}; with phi = H, lam = -1,
@@ -78,7 +76,7 @@ def brannan_transform(phi: AnalyticFunction, lam: complex, n_power: int,
         return phi_d2(z) * rho + phi_d1(z) * rho1
 
     label = f"brannan({phi.label},lam={lam.real!r}{lam.imag:+}j,N={N})"
-    return antiderivative_function(label, d1, d2, cfg)
+    return antiderivative_function(label, d1, d2)
 
 
 def vk_membership(phi: AnalyticFunction, k: float,

@@ -20,7 +20,7 @@ from .boundary_rotation import boundary_rotation_value
 from .geometry import (convexity_check, directional_convexity_check,
                        sample_boundary, turning_increments)
 from .probe import ProbeConfig, probe_admissibility
-from .quadrature import QuadratureConfig, ToleranceNotMet
+from .quadrature import ToleranceNotMet
 from .render import csv_lines, dumps_report, render_curve_svg, round_floats
 from .reproduce import CASES
 from .shear import ShearSystem, harmonic_from_analytic, shear_construct
@@ -69,21 +69,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _quad_cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.quad_tol, order=args.quad_order)
-
-
-def _add_common(p, quad: bool = True):
+def _add_common(p):
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--precision", type=int, default=12)
-    if quad:
-        p.add_argument("--quad-tol", type=float, default=1e-12)
-        p.add_argument("--quad-order", type=int, default=15)
 
 
 def cmd_shear(args) -> int:
     sys_ = ShearSystem(parse_phi(args.phi), parse_omega(args.omega), parse_eta(args.eta))
-    f = shear_construct(sys_, _quad_cfg(args))
+    f = shear_construct(sys_)
     theta = np.linspace(0.0, 2.0 * np.pi, args.n, endpoint=False)
     z = args.r * np.exp(1j * theta)
     h = f.h.value(z)
@@ -102,8 +95,7 @@ def _convexity_report(args):
     if args.omega == "zero":
         f = harmonic_from_analytic(parse_phi(args.phi))
     else:
-        f = shear_construct(ShearSystem(parse_phi(args.phi), omega, parse_eta(args.eta)),
-                            _quad_cfg(args))
+        f = shear_construct(ShearSystem(parse_phi(args.phi), omega, parse_eta(args.eta)))
     curve = sample_boundary(f, args.r, args.n)
     rep = convexity_check(curve, args.tol_backturn)
     gamma = curve.gamma
@@ -155,8 +147,7 @@ def cmd_probe(args) -> int:
         rest = tail.split(",", 1)
         family = head + f"seed={args.seed}" + ("," + rest[1] if len(rest) > 1 else "")
     cfg = ProbeConfig(phi_spec=args.phi, eta=parse_eta(args.eta), family_spec=family,
-                      radii=parse_radii(args.radii), n_samples=args.n,
-                      quad=_quad_cfg(args))
+                      radii=parse_radii(args.radii), n_samples=args.n)
     rep = probe_admissibility(cfg)
     payload = rep.to_jsonable()
     payload["config"]["seed_echo"] = args.seed
@@ -239,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--radii", default="0.9,0.99,0.999")
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p, quad=False)
+    _add_common(p)
     p.set_defaults(fn=cmd_vk)
 
     p = sub.add_parser("reproduce", help="run a named suite and print PASS/FAIL")

@@ -41,31 +41,21 @@ NEAR_BOUNDARY_RADIUS = 0.999
 class BoundaryCurve:
     """Sampled image of |z| = r with exact tangents; positions are lazy."""
 
-    def __init__(self, f: Optional[HarmonicMap], r: float, n: int,
-                 theta: np.ndarray, tangent: np.ndarray,
-                 gamma: Optional[np.ndarray] = None):
+    def __init__(self, f: HarmonicMap, r: float, n: int,
+                 theta: np.ndarray, tangent: np.ndarray):
         self.f = f
         self.r = float(r)
         self.n = int(n)
         self.theta = theta
         self.tangent = tangent
         self.near_boundary = self.r >= NEAR_BOUNDARY_RADIUS
-        self._gamma = gamma
+        self._gamma: Optional[np.ndarray] = None
 
     @property
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
-            if self.f is None:
-                raise ValueError("curve built from raw samples has no map to evaluate")
             self._gamma = self.f.map_points(self.r * np.exp(1j * self.theta))
         return self._gamma
-
-    @classmethod
-    def from_samples(cls, theta, gamma, tangent, r: float) -> "BoundaryCurve":
-        theta = np.asarray(theta, dtype=float)
-        c = cls(None, r, theta.size, theta, np.asarray(tangent, dtype=complex))
-        c._gamma = np.asarray(gamma, dtype=complex)
-        return c
 
 
 def sample_boundary(f: HarmonicMap, r: float, n: int) -> BoundaryCurve:

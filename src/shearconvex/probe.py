@@ -22,14 +22,14 @@ admissibility.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import (ConvexityReport, convexity_check_resolved,
                        sample_boundary, DEFAULT_BACKTURN_TOL)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import DEFAULT_FAMILY, family_from_spec, format_eta, parse_phi
 
@@ -123,7 +123,6 @@ class ProbeConfig:
     radii: Tuple[float, ...] = DEFAULT_RADII
     n_samples: int = 4096
     tol_backturn: float = DEFAULT_BACKTURN_TOL
-    quad: QuadratureConfig = field(default=DEFAULT_CONFIG)
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(sorted(float(r) for r in self.radii)))
@@ -342,7 +341,7 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
     for omega in omegas:
         key = omega.spec.text
         try:
-            f = shear_construct(ShearSystem(phi, omega, cfg.eta), cfg.quad)
+            f = shear_construct(ShearSystem(phi, omega, cfg.eta))
             rows = {}
             reports: dict = {}
             noncvx: List[float] = []
@@ -382,7 +381,7 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
                 omega_spec=key, r=r_witness, n=rep_w.n, theta_window=rep_w.witness,
                 worst_backturn=rep_w.worst_backturn, certificate_r=cert_r,
                 midpoint=m, persists_at=higher, r_onset=r_onset))
-        except Exception as exc:  # keep sweeping; record the casualty
+        except (ToleranceNotMet, ValueError) as exc:  # numerical casualty; keep sweeping
             per_omega[key] = {"error": f"{type(exc).__name__}: {exc}"}
             notes.append(f"omega={key}: construction/check failed: {exc}")
     failures.sort(key=lambda w: w.omega_spec)

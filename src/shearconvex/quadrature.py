@@ -1,20 +1,16 @@
-"""Complex path integration of analytic integrands inside the unit disk.
+"""Radial antiderivatives of analytic integrands inside the unit disk.
 
-Antiderivatives F with F(0) = 0 are recovered by integrating along straight
-segments; analyticity on the disk makes any disk-contained path valid, so
-radial paths (the shortest) are used throughout.
+Antiderivatives F with F(0) = 0 are recovered by integrating along the
+radial segment [0, z]; analyticity on the disk makes any disk-contained path
+valid, and the radial one is the shortest.
 
-Two evaluation routes are provided:
+:func:`antiderivative_many` is a vectorized scheme for batches of endpoints.
+Gauss-Legendre panels on [0, 1] are geometrically graded toward the outer
+endpoint (the only place a radial path approaches the unit circle, where
+catalog integrands blow up); the grading depth is increased until successive
+estimates agree.
 
-* :func:`integrate_segment` - scalar Gauss-Legendre panels with adaptive
-  bisection, error estimated from the whole-panel vs. split-panel difference.
-* :func:`antiderivative_many` - a vectorized radial scheme for batches of
-  endpoints.  Panels on [0, 1] are geometrically graded toward the outer
-  endpoint (the only place a radial path approaches the unit circle, where
-  catalog integrands blow up); the grading depth is doubled until successive
-  estimates agree.
-
-Convergence acceptance is ``|I_next - I| <= max(abs_tol + rel_tol*|I|,
+Convergence acceptance is ``|I_next - I| <= max(ABS_TOL + REL_TOL*|I|,
 1024*eps*|I|)``.  The relative terms matter near the boundary: at |z| = 0.999
 integrand antiderivatives reach 1e6 and an absolute 1e-12 target is below
 what float64 summation can represent.
@@ -22,114 +18,44 @@ what float64 summation can represent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+ABS_TOL = 1e-12
+REL_TOL = 1e-14
+ORDER = 15                      # Gauss-Legendre nodes per panel
+MAX_DEPTH = 40                  # grading depth at which refinement gives up
 _FLOAT_FLOOR = 1024 * np.finfo(float).eps
 
 
 class ToleranceNotMet(RuntimeError):
-    """Adaptive refinement hit its subdivision cap before converging."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-14
-    max_subdivisions: int = 40
-    order: int = 15
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.order < 5:
-            raise ValueError("panel order must be >= 5")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+    """Adaptive refinement hit its depth cap before converging."""
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _panel(fprime, z0, z1, x, w):
-    mid, half = (z0 + z1) / 2.0, (z1 - z0) / 2.0
-    return half * np.sum(w * fprime(mid + half * x))
-
-
-def _require_in_disk(z, what: str):
-    if abs(z) >= 1.0:
-        raise ValueError(f"{what} must lie in the open unit disk, got |z| = {abs(z)!r}")
-
-
-def integrate_segment(fprime: Callable, z0: complex, z1: complex,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Integrate fprime over the straight segment [z0, z1].
-
-    The segment must stay inside the open disk; since |.| is convex it
-    suffices that both endpoints do.
-    """
-    z0, z1 = complex(z0), complex(z1)
-    _require_in_disk(z0, "segment start")
-    _require_in_disk(z1, "segment end")
-    if z0 == z1:
-        return 0.0 + 0.0j
-    x, w = _gl_nodes(cfg.order)
-
-    def recurse(a, b, whole, tol, depth):
-        m = (a + b) / 2.0
-        left = _panel(fprime, a, m, x, w)
-        right = _panel(fprime, m, b, x, w)
-        better = left + right
-        err = abs(better - whole)
-        if err <= max(tol, _FLOAT_FLOOR * abs(better)):
-            return better
-        if depth >= cfg.max_subdivisions:
-            raise ToleranceNotMet(
-                f"segment quadrature stalled at depth {depth} (err ~ {err:.3e})")
-        half_tol = max(tol / 2.0, cfg.rel_tol * abs(better) / 2.0)
-        return (recurse(a, m, left, half_tol, depth + 1)
-                + recurse(m, b, right, half_tol, depth + 1))
-
-    whole = _panel(fprime, z0, z1, x, w)
-    return recurse(z0, z1, whole, cfg.abs_tol, 0)
-
-
-def antiderivative(fprime: Callable, z: complex,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """F(z) with F(0) = 0 via the radial segment [0, z]."""
-    if z == 0:
-        return 0.0 + 0.0j
-    return integrate_segment(fprime, 0.0, z, cfg)
-
-
-@lru_cache(maxsize=None)
-def _panel_nodes(t0: float, t1: float, order: int):
-    x, w = _gl_nodes(order)
+def _panel_nodes(t0: float, t1: float):
+    # computed on first use: importing numpy.polynomial would add to package import time
+    x, w = np.polynomial.legendre.leggauss(ORDER)
     mid, half = (t0 + t1) / 2.0, (t1 - t0) / 2.0
     return mid + half * x, half * w
 
 
-def _batch_panel(fprime, z, t0: float, t1: float, order: int) -> np.ndarray:
+def _batch_panel(fprime, z, t0: float, t1: float) -> np.ndarray:
     """GL integral of fprime over the sub-segments z*[t0, t1], one per entry."""
-    t, w = _panel_nodes(t0, t1, order)
+    t, w = _panel_nodes(t0, t1)
     return (fprime(z[:, None] * t[None, :]) * w[None, :]).sum(axis=1)
 
 
-def antiderivative_many(fprime: Callable, zs, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                        depth0: int = 4) -> np.ndarray:
+def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
     """Radial antiderivatives for a batch of endpoints, vectorized.
 
     ``fprime`` must accept complex ndarrays.  The parameter interval [0, 1]
     is split at 1 - 2^-j; refinement pushes the grading front toward 1,
     reusing every previously integrated head panel, so each level costs two
-    panel evaluations per unconverged endpoint.
+    panel evaluations per unconverged endpoint.  The result has the shape of
+    ``zs`` (0-d for a scalar endpoint).
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
@@ -142,17 +68,16 @@ def antiderivative_many(fprime: Callable, zs, cfg: QuadratureConfig = DEFAULT_CO
     z = flat[todo]
     acc = np.zeros(todo.shape, dtype=complex)       # head integral over [0, 1 - 2^-depth]
     for j in range(depth0):
-        acc += _batch_panel(fprime, z, 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1), cfg.order)
+        acc += _batch_panel(fprime, z, 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1))
     depth = depth0
-    prev = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0, cfg.order)
-    max_depth = max(cfg.max_subdivisions, depth0 + 4)
+    prev = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0)
+    max_depth = max(MAX_DEPTH, depth0 + 4)
     while True:
         acc = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth),
-                                 1.0 - 2.0 ** (-depth - 1), cfg.order)
+                                 1.0 - 2.0 ** (-depth - 1))
         depth += 1
-        vals = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0, cfg.order)
-        tol = np.maximum(cfg.abs_tol + cfg.rel_tol * np.abs(vals),
-                         _FLOAT_FLOOR * np.abs(vals))
+        vals = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0)
+        tol = np.maximum(ABS_TOL + REL_TOL * np.abs(vals), _FLOAT_FLOOR * np.abs(vals))
         ok = np.abs(vals - prev) <= tol
         if ok.any():
             out[todo[ok]] = (vals[ok] * flat[todo[ok]])

@@ -14,14 +14,13 @@ so boundary tangents downstream never touch quadrature.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .functions import AnalyticFunction, SchwarzFunction, require_unimodular
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, antiderivative_many
+from .quadrature import antiderivative_many
 
 S_NORMALIZATION_TOL = 1e-10
 
@@ -52,36 +51,13 @@ class ShearSystem:
         return f"shear(phi={self.phi.label},omega={self.omega.label},eta={e.real!r}{e.imag:+}j)"
 
 
-class _QuadValue:
-    """Evaluate an antiderivative on demand; scalar calls memoize by z.
+def antiderivative_function(label: str, d1_fn: Callable, d2_fn: Callable) -> AnalyticFunction:
+    """AnalyticFunction whose value channel integrates d1_fn from the origin.
 
-    The cache is a plain dict: writes under concurrent evaluation are benign
-    races (all writers store the identical deterministic value), so
-    concurrent reads agree with serial ones.
+    Every value goes through the batched radial quadrature; a scalar z
+    gives a scalar.
     """
-
-    def __init__(self, d1_fn: Callable, cfg: QuadratureConfig):
-        self.d1_fn = d1_fn
-        self.cfg = cfg
-        self._cache: dict = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, z):
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            key = complex(z)
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = complex(antiderivative_many(self.d1_fn, np.array([key]), self.cfg)[0])
-                with self._lock:
-                    self._cache[key] = hit
-            return hit
-        return antiderivative_many(self.d1_fn, z, self.cfg)
-
-
-def antiderivative_function(label: str, d1_fn: Callable, d2_fn: Callable,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> AnalyticFunction:
-    """AnalyticFunction whose value channel integrates d1_fn from the origin."""
-    return AnalyticFunction(label, _QuadValue(d1_fn, cfg), d1_fn, d2_fn)
+    return AnalyticFunction(label, lambda z: antiderivative_many(d1_fn, z)[()], d1_fn, d2_fn)
 
 
 @dataclass(frozen=True)
@@ -112,8 +88,7 @@ class HarmonicMap:
         return self.h.d1(zs), self.g.d1(zs)
 
 
-def shear_construct(sys: ShearSystem,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> HarmonicMap:
+def shear_construct(sys: ShearSystem) -> HarmonicMap:
     """Solve the shear system; the result lies in S_H^0 by construction."""
     phi_d1, phi_d2 = sys.phi.d1_fn, sys.phi.d2_fn
     om_v, om_d1 = sys.omega.value_fn, sys.omega.d1_fn
@@ -132,8 +107,8 @@ def shear_construct(sys: ShearSystem,
     def gpp(z):
         return om_d1(z) * hp(z) + om_v(z) * hpp(z)
 
-    h = antiderivative_function(f"h[{sys.label}]", hp, hpp, cfg)
-    g = antiderivative_function(f"g[{sys.label}]", gp, gpp, cfg)
+    h = antiderivative_function(f"h[{sys.label}]", hp, hpp)
+    g = antiderivative_function(f"g[{sys.label}]", gp, gpp)
     return HarmonicMap(h, g, provenance=sys, label=sys.label)
 
 

@@ -1,0 +1,71 @@
+"""Scalar segment quadrature: an independent reference for the package's.
+
+The package integrates only along radii, in batches, with panels graded
+geometrically toward the endpoint (``shearconvex.quadrature``).  This route
+integrates one straight segment at a time with Gauss-Legendre panels and
+adaptive bisection, the error estimated from the whole-panel vs. split-panel
+difference, and shares no code with the package's, so agreement between the
+two is evidence for both.  It uses the package's tolerances and panel order
+and raises the package's ``ToleranceNotMet`` when bisection stalls.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from shearconvex.quadrature import (ABS_TOL, MAX_DEPTH, ORDER, REL_TOL,
+                                    ToleranceNotMet)
+
+_FLOAT_FLOOR = 1024 * np.finfo(float).eps
+_X, _W = np.polynomial.legendre.leggauss(ORDER)
+
+
+def _panel(fprime, z0, z1):
+    mid, half = (z0 + z1) / 2.0, (z1 - z0) / 2.0
+    return half * np.sum(_W * fprime(mid + half * _X))
+
+
+def _require_in_disk(z, what: str):
+    if abs(z) >= 1.0:
+        raise ValueError(f"{what} must lie in the open unit disk, got |z| = {abs(z)!r}")
+
+
+def integrate_segment(fprime: Callable, z0: complex, z1: complex,
+                      max_subdivisions: int = MAX_DEPTH) -> complex:
+    """Integrate fprime over the straight segment [z0, z1].
+
+    The segment must stay inside the open disk; since |.| is convex it
+    suffices that both endpoints do.
+    """
+    z0, z1 = complex(z0), complex(z1)
+    _require_in_disk(z0, "segment start")
+    _require_in_disk(z1, "segment end")
+    if z0 == z1:
+        return 0.0 + 0.0j
+
+    def recurse(a, b, whole, tol, depth):
+        m = (a + b) / 2.0
+        left = _panel(fprime, a, m)
+        right = _panel(fprime, m, b)
+        better = left + right
+        err = abs(better - whole)
+        if err <= max(tol, _FLOAT_FLOOR * abs(better)):
+            return better
+        if depth >= max_subdivisions:
+            raise ToleranceNotMet(
+                f"segment quadrature stalled at depth {depth} (err ~ {err:.3e})")
+        half_tol = max(tol / 2.0, REL_TOL * abs(better) / 2.0)
+        return (recurse(a, m, left, half_tol, depth + 1)
+                + recurse(m, b, right, half_tol, depth + 1))
+
+    whole = _panel(fprime, z0, z1)
+    return recurse(z0, z1, whole, ABS_TOL, 0)
+
+
+def antiderivative(fprime: Callable, z: complex) -> complex:
+    """F(z) with F(0) = 0 via the radial segment [0, z]."""
+    if z == 0:
+        return 0.0 + 0.0j
+    return integrate_segment(fprime, 0.0, z)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import (BoundaryCurve, convexity_check,
+from shearconvex.geometry import (convexity_check,
                                   convexity_check_resolved,
                                   directional_convexity_check,
                                   parabola_residual, sample_boundary,
@@ -138,15 +138,6 @@ def test_rotation_equivariance(f0):
     shift = n // 4
     assert np.abs(c_rot.gamma - np.conj(1j) * np.roll(c.gamma, -shift)).max() < 1e-9
     assert convexity_check(c_rot).verdict == convexity_check(c).verdict
-
-
-def test_curve_roundtrip_through_raw_samples(f0):
-    c = sample_boundary(f0, 0.9, 4096)
-    rep = convexity_check(c)
-    c2 = BoundaryCurve.from_samples(c.theta, c.gamma, c.tangent, c.r)
-    rep2 = convexity_check(c2)
-    assert rep2.verdict == rep.verdict
-    assert rep2.worst_backturn == rep.worst_backturn
 
 
 def test_verdict_from_increments_is_the_same_entry_point(f0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shearconvex.probe
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.geometry import convexity_check_resolved
@@ -8,6 +9,7 @@ from shearconvex.probe import (ProbeConfig, css_characterization_check,
                                halfplane_strip_identifier, midpoint_certificate,
                                newton_preimage, probe_admissibility,
                                trusted_winding)
+from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (ShearSystem, harmonic_from_analytic,
                                shear_construct)
 from shearconvex.specs import family_from_spec, parse_omega, parse_phi
@@ -50,6 +52,30 @@ def test_vertical_shears_of_h_probe_clean():
                                           family_spec=SMALL_FAMILY))
     assert rep.summary == "NO_FAILURE_FOUND"
     assert "does not prove admissibility" in rep.to_jsonable()["disclaimer"]
+
+
+def _failing_check(exc):
+    def check(*a, **k):
+        raise exc
+    return check
+
+
+def test_probe_programming_error_propagates(monkeypatch):
+    monkeypatch.setattr(shearconvex.probe, "convexity_check_resolved",
+                        _failing_check(TypeError("bad argument")))
+    with pytest.raises(TypeError):
+        probe_admissibility(ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j,
+                                        family_spec="explicit:monomial:N=1"))
+
+
+def test_probe_records_numerical_failure_per_omega(monkeypatch):
+    monkeypatch.setattr(shearconvex.probe, "convexity_check_resolved",
+                        _failing_check(ToleranceNotMet("stalled")))
+    rep = probe_admissibility(ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j,
+                                          family_spec="explicit:monomial:N=1"))
+    (key,) = rep.per_omega
+    assert rep.per_omega[key] == {"error": "ToleranceNotMet: stalled"}
+    assert any(key in note and "stalled" in note for note in rep.notes)
 
 
 def test_probe_determinism_byte_identical():

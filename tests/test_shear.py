@@ -1,12 +1,13 @@
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    ZeroOmega, catalog, make_schwarz,
                                    rotate_analytic)
-from shearconvex.quadrature import DEFAULT_CONFIG
+from shearconvex.quadrature import ABS_TOL
 from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, normalize,
                                rotate_harmonic, shear_construct)
@@ -45,6 +46,48 @@ def test_strip_shear_closed_form(disk_grid):
     assert np.abs(hg - closed).max() < 1e-11
 
 
+MP_ZEROS = (0.9 + 0.1j, -0.5j)
+
+
+def _mp_blaschke(z):
+    b = z
+    for a in MP_ZEROS:
+        a = mp.mpc(a)
+        b *= (a - z) / (1 - mp.conj(a) * z)
+    return b
+
+
+# (phi, omega, h' = phi'/(1 + omega) for eta = -1 in mpmath, pole directions of phi)
+MP_CASES = {
+    "H,omega=z": (H, OM_Z, lambda z: 1 / ((1 - z) ** 2 * (1 + z)), (0.0,)),
+    "H,blaschke": (H, make_schwarz(BlaschkeOmega(MP_ZEROS)),
+                   lambda z: 1 / ((1 - z) ** 2 * (1 + _mp_blaschke(z))), (0.0,)),
+    "L_i,omega=-z^3": (catalog(CatalogId("L_LAMBDA", 1j)),
+                       make_schwarz(MonomialOmega(-1.0, 3)),
+                       lambda z: 1 / ((1 - 1j * z) * (1 + 1j * z) * (1 - z ** 3)), ()),
+}
+MP_THETAS = (0.0, np.pi / 2, 2 * np.pi / 3, np.pi, 4 * np.pi / 3, 3 * np.pi / 2)
+
+
+@pytest.mark.parametrize("case", sorted(MP_CASES))
+def test_h_matches_mpmath_near_the_circle(case):
+    # h at r = 0.999 against mp.quad at 30 digits over [0, 1] graded toward
+    # the endpoint, where the integrand peaks.  Off phi's pole directions the
+    # batch quadrature agrees to a few ulps; on one (theta = 0 for H, |h| ~ 500)
+    # the grading loop accepts successive estimates within 1024 eps relative,
+    # and the measured error is 1.6e-14, so that point is held to 5e-14.
+    phi, omega, hp, poles = MP_CASES[case]
+    zs = 0.999 * np.exp(1j * np.array(MP_THETAS))
+    got = shear_construct(ShearSystem(phi, omega, -1.0)).h.value(zs)
+    with mp.workdps(30):
+        grid = [mp.mpf(0)] + [1 - mp.mpf(2) ** -j for j in range(1, 13)] + [mp.mpf(1)]
+        for theta, z, value in zip(MP_THETAS, zs, got):
+            zm = mp.mpc(z)
+            ref = complex(mp.quad(lambda t: zm * hp(zm * t), grid))
+            bound = 5e-14 if theta in poles else 1e-14
+            assert abs(value - ref) <= bound * abs(ref), (theta, value, ref)
+
+
 SEEDED_SYSTEMS = []
 _rng = np.random.default_rng(42)
 _phis = ["H", "H_ROT_MINUS1", "KOEBE", "IDENTITY", "F0_H_PART"]
@@ -69,7 +112,7 @@ def test_reconstruction_and_dilatation(sys_, wide_grid):
     h = f.h.value(wide_grid)
     g = f.g.value(wide_grid)
     phi = sys_.phi.value(wide_grid)
-    assert np.abs(h - sys_.eta * g - phi).max() <= 100 * DEFAULT_CONFIG.abs_tol \
+    assert np.abs(h - sys_.eta * g - phi).max() <= 100 * ABS_TOL \
         * max(1.0, float(np.abs(phi).max()))
     h1, g1 = f.derivatives(wide_grid)
     om = sys_.omega.value(wide_grid)
@@ -118,7 +161,7 @@ def test_rotation_shear_compatibility(disk_grid):
     omega_rot = make_schwarz(MonomialOmega(lam_rot, omega0.spec.n))
     direct = shear_construct(ShearSystem(phi_xi, omega_rot, eta * np.conj(xi) ** 2))
 
-    tol = 100 * DEFAULT_CONFIG.abs_tol * 10
+    tol = 100 * ABS_TOL * 10
     assert np.abs(rot.map_points(disk_grid) - direct.map_points(disk_grid)).max() < tol
     # the transformed provenance attached by rotate_harmonic agrees too
     prov = rot.provenance
