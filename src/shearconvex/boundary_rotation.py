@@ -20,10 +20,11 @@ import numpy as np
 
 from .functions import AnalyticFunction, require_unimodular
 from .shear import antiderivative_function
+from .specs import DEFAULT_RADII
 
 MIN_ANGLE_SAMPLES = 8192
 ALIAS_TARGET = 2.5e-10
-DEFAULT_RADII = (0.9, 0.99, 0.999)
+VK_TOL = 1e-6                   # slack of the V_k membership verdict
 
 
 def _angle_count(r: float) -> int:
@@ -38,12 +39,10 @@ class RotationValue:
     n: int
 
 
-def boundary_rotation_value(phi: AnalyticFunction, r: float,
-                            n: int | None = None) -> RotationValue:
+def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
     if not 0.0 < r < 1.0:
         raise ValueError("radius must satisfy 0 < r < 1")
-    if n is None:
-        n = _angle_count(r)
+    n = _angle_count(r)
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     z = r * np.exp(1j * theta)
     _, d1, d2 = phi.eval(z)
@@ -80,9 +79,8 @@ def brannan_transform(phi: AnalyticFunction, lam: complex, n_power: int) -> Anal
 
 
 def vk_membership(phi: AnalyticFunction, k: float,
-                  radii: Sequence[float] = DEFAULT_RADII,
-                  tol: float = 1e-6) -> Tuple[bool, float, list]:
+                  radii: Sequence[float] = DEFAULT_RADII) -> Tuple[bool, float, list]:
     """Ladder approximation of the sup over r < 1; verdict carries the ladder."""
     values = [boundary_rotation_value(phi, r) for r in radii]
     worst = max(v.value_over_pi for v in values)
-    return worst <= k + tol, worst, values
+    return worst <= k + VK_TOL, worst, values

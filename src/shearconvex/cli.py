@@ -1,7 +1,8 @@
 """Command-line surface: shear, convexity, probe, vk, reproduce.
 
-Exit codes: 0 on success, 1 on usage or computation errors, 2 when a
-`reproduce` case contradicts its pinned expectation.  Relative output paths
+Exit codes: 0 on success, 1 on usage or computation errors (including a
+`probe` whose summary is INCOMPLETE), 2 when a `reproduce` case contradicts
+its pinned expectation.  Relative output paths
 are resolved against $SHEARCONVEX_OUTDIR when it is set.
 """
 
@@ -10,13 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .boundary_rotation import boundary_rotation_value
+from .boundary_rotation import vk_membership
 from .geometry import (convexity_check, directional_convexity_check,
                        sample_boundary, turning_increments)
 from .probe import ProbeConfig, probe_admissibility
@@ -24,21 +24,10 @@ from .quadrature import ToleranceNotMet
 from .render import csv_lines, dumps_report, render_curve_svg, round_floats
 from .reproduce import CASES
 from .shear import ShearSystem, harmonic_from_analytic, shear_construct
-from .specs import (DEFAULT_FAMILY, SpecError, parse_eta, parse_omega,
-                    parse_phi, parse_radii)
+from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, SpecError, parse_eta,
+                    parse_omega, parse_phi, parse_radii)
 
-
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str               # CSV | JSON | SVG
-    path: Optional[str]       # None means stdout
-    precision: int = 12
-
-    def __post_init__(self):
-        if self.format not in ("CSV", "JSON", "SVG"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.precision < 6:
-            raise ValueError("precision must be >= 6")
+RADII_ARG = ",".join(repr(r) for r in DEFAULT_RADII)
 
 
 def _resolve(path: Optional[str]) -> Optional[Path]:
@@ -51,8 +40,9 @@ def _resolve(path: Optional[str]) -> Optional[Path]:
     return p
 
 
-def _emit(text: str, out: OutputSpec) -> None:
-    p = _resolve(out.path)
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write text to path (resolved against $SHEARCONVEX_OUTDIR) or stdout."""
+    p = _resolve(path)
     if p is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -69,9 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _precision(text: str) -> int:
+    digits = int(text)
+    if digits < 6:
+        raise argparse.ArgumentTypeError("precision must be >= 6")
+    return digits
+
+
 def _add_common(p):
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=_precision, default=12,
+                   help="significant digits of numeric output (>= 6)")
 
 
 def cmd_shear(args) -> int:
@@ -85,8 +83,7 @@ def cmd_shear(args) -> int:
     rows = zip(theta, z.real, z.imag, gamma.real, gamma.imag,
                h.real, h.imag, g.real, g.imag)
     header = ["theta", "re_z", "im_z", "re_f", "im_f", "re_h", "im_h", "re_g", "im_g"]
-    out = OutputSpec("CSV", args.out, args.precision)
-    _emit("\n".join(csv_lines(header, rows, out.precision)) + "\n", out)
+    _emit("\n".join(csv_lines(header, rows, args.precision)) + "\n", args.out)
     return 0
 
 
@@ -97,7 +94,7 @@ def _convexity_report(args):
     else:
         f = shear_construct(ShearSystem(parse_phi(args.phi), omega, parse_eta(args.eta)))
     curve = sample_boundary(f, args.r, args.n)
-    rep = convexity_check(curve, args.tol_backturn)
+    rep = convexity_check(curve)
     gamma = curve.gamma
     report = {
         "label": f.label,
@@ -124,19 +121,17 @@ def _convexity_report(args):
 
 def cmd_convexity(args) -> int:
     report, curve = _convexity_report(args)
-    out = OutputSpec("JSON", args.out, args.precision)
-    rounded = round_floats(report, out.precision)
-    _emit(dumps_report(rounded, out.precision), out)
+    rounded = round_floats(report, args.precision)
+    _emit(dumps_report(rounded, args.precision), args.out)
     if args.svg:
         # render from the serialized (rounded) report so that re-rendering a
         # saved JSON reproduces the SVG byte for byte
-        _emit(render_curve_svg(rounded), OutputSpec("SVG", args.svg, args.precision))
+        _emit(render_curve_svg(rounded), args.svg)
     if args.csv:
         inc = turning_increments(curve.tangent)
         rows = zip(curve.theta, curve.gamma.real, curve.gamma.imag, inc)
         _emit("\n".join(csv_lines(["theta", "re", "im", "turning_increment"],
-                                  rows, args.precision)) + "\n",
-              OutputSpec("CSV", args.csv, args.precision))
+                                  rows, args.precision)) + "\n", args.csv)
     return 0
 
 
@@ -147,30 +142,29 @@ def cmd_probe(args) -> int:
         rest = tail.split(",", 1)
         family = head + f"seed={args.seed}" + ("," + rest[1] if len(rest) > 1 else "")
     cfg = ProbeConfig(phi_spec=args.phi, eta=parse_eta(args.eta), family_spec=family,
-                      radii=parse_radii(args.radii), n_samples=args.n)
+                      radii=parse_radii(args.radii))
     rep = probe_admissibility(cfg)
     payload = rep.to_jsonable()
     payload["config"]["seed_echo"] = args.seed
-    out = OutputSpec("JSON", args.out, args.precision)
-    _emit(dumps_report(payload, out.precision), out)
+    _emit(dumps_report(payload, args.precision), args.out)
+    if rep.summary == "INCOMPLETE":
+        sys.stderr.write("error: probe INCOMPLETE; see the per-omega errors\n")
+        return 1
     return 0
 
 
 def cmd_vk(args) -> int:
-    phi = parse_phi(args.phi)
-    radii = parse_radii(args.radii)
-    values = [boundary_rotation_value(phi, r) for r in radii]
-    worst = max(v.value_over_pi for v in values)
+    member, worst, values = vk_membership(parse_phi(args.phi), args.k,
+                                          parse_radii(args.radii))
     report = {
         "phi": args.phi,
         "k": args.k,
         "values": [{"r": v.r, "value_over_pi": v.value_over_pi, "n": v.n} for v in values],
         "max_value_over_pi": worst,
-        "member": bool(worst <= args.k + args.tol),
+        "member": bool(member),
         "note": "sup over r < 1 approximated by the ladder max",
     }
-    out = OutputSpec("JSON", args.out, args.precision)
-    _emit(dumps_report(report, out.precision), out)
+    _emit(dumps_report(report, args.precision), args.out)
     return 0
 
 
@@ -208,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.99)
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--direction", type=float, default=None)
-    p.add_argument("--tol-backturn", type=float, default=1e-6)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--parabola-overlay", action="store_true")
@@ -220,16 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", required=True)
     p.add_argument("--family", default=DEFAULT_FAMILY)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--radii", default="0.9,0.99,0.999")
-    p.add_argument("--n", type=int, default=4096)
+    p.add_argument("--radii", default=RADII_ARG)
     _add_common(p)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("vk", help="boundary-rotation values and V_k membership")
     p.add_argument("--phi", required=True)
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--radii", default="0.9,0.99,0.999")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--radii", default=RADII_ARG)
     _add_common(p)
     p.set_defaults(fn=cmd_vk)
 

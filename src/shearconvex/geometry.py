@@ -33,7 +33,10 @@ from .shear import HarmonicMap
 
 MAX_TRUSTED_STEP = 1.5          # rad; above this a step may alias (true step > pi)
 TOTAL_TURNING_TOL = 1e-3        # accepted deviation of total turning from 2 pi
-DEFAULT_BACKTURN_TOL = 1e-6     # rad per spec'd back-turn budget
+BACKTURN_TOL = 1e-6             # rad; back-turn budget of a CONVEX verdict
+TURNING_SAMPLES = 4096          # first sample count of a resolved check
+TURNING_SAMPLES_MAX = 65536     # escalation stops here
+DIRECTION_DEADBAND = 1e-9       # flat-step threshold, fraction of the transverse range
 PARABOLA_EXCLUDE = np.pi / 8    # rad around theta = 0 skipped by the residual
 NEAR_BOUNDARY_RADIUS = 0.999
 
@@ -95,9 +98,7 @@ def _drawdown(inc: np.ndarray):
     return float(dd[k_end]), k_start, k_end
 
 
-def verdict_from_increments(inc: np.ndarray, theta: np.ndarray,
-                            tol_backturn: float = DEFAULT_BACKTURN_TOL,
-                            n: int = 0) -> ConvexityReport:
+def verdict_from_increments(inc: np.ndarray, theta: np.ndarray) -> ConvexityReport:
     """Turning verdict from precomputed increments (CSV round-trip entry)."""
     inc = np.asarray(inc, dtype=float)
     m = inc.size
@@ -111,41 +112,37 @@ def verdict_from_increments(inc: np.ndarray, theta: np.ndarray,
         worst_step_theta = float(theta[int(inc.argmin())])
     if max_step > MAX_TRUSTED_STEP:
         verdict = "INCONCLUSIVE"
-    elif worst > 10.0 * tol_backturn:
+    elif worst > 10.0 * BACKTURN_TOL:
         verdict = "NON_CONVEX"
-    elif worst <= tol_backturn and abs(total - 2.0 * np.pi) <= TOTAL_TURNING_TOL:
+    elif worst <= BACKTURN_TOL and abs(total - 2.0 * np.pi) <= TOTAL_TURNING_TOL:
         verdict = "CONVEX"
     else:
         verdict = "INCONCLUSIVE"
     if verdict == "CONVEX":
         witness = None
         worst_step_theta = None
-    return ConvexityReport(verdict, total, worst, witness, max_step, n or m,
+    return ConvexityReport(verdict, total, worst, witness, max_step, m,
                            worst_step_theta)
 
 
-def convexity_check(curve: BoundaryCurve,
-                    tol_backturn: float = DEFAULT_BACKTURN_TOL) -> ConvexityReport:
-    inc = turning_increments(curve.tangent)
-    return verdict_from_increments(inc, curve.theta, tol_backturn, curve.n)
+def convexity_check(curve: BoundaryCurve) -> ConvexityReport:
+    return verdict_from_increments(turning_increments(curve.tangent), curve.theta)
 
 
-def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = 4096,
-                             n_max: int = 65536,
-                             tol_backturn: float = DEFAULT_BACKTURN_TOL
+def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = TURNING_SAMPLES
                              ) -> Tuple[BoundaryCurve, ConvexityReport]:
     """Escalate the sample count until the turning field is resolved.
 
     Returns the last curve and its report; the report stays INCONCLUSIVE if
-    even ``n_max`` samples cannot resolve the tangent rotation.
+    even ``TURNING_SAMPLES_MAX`` samples cannot resolve the tangent rotation.
     """
     n = n0
     while True:
         curve = sample_boundary(f, r, n)
-        rep = convexity_check(curve, tol_backturn)
-        if rep.max_step <= MAX_TRUSTED_STEP or n >= n_max:
+        rep = convexity_check(curve)
+        if rep.max_step <= MAX_TRUSTED_STEP or n >= TURNING_SAMPLES_MAX:
             return curve, rep
-        n = min(4 * n, n_max)
+        n = min(4 * n, TURNING_SAMPLES_MAX)
 
 
 @dataclass(frozen=True)
@@ -155,19 +152,18 @@ class DirectionalReport:
     sign_changes: int
 
 
-def directional_convexity_check(curve: BoundaryCurve, t: float,
-                                deadband: Optional[float] = None) -> DirectionalReport:
+def directional_convexity_check(curve: BoundaryCurve, t: float) -> DirectionalReport:
     """Convexity in direction t via the transverse coordinate Im(e^{-it} gamma).
 
     Lines parallel to e^{it} are level sets of q = Im(e^{-it} w); the image is
     convex in direction t exactly when the cyclic sample sequence q_j is
     unimodal, i.e. its first differences show exactly two sign changes after
-    near-flat steps (|dq| below the deadband) are merged away.
+    near-flat steps (|dq| below ``DIRECTION_DEADBAND`` of the range of q)
+    are merged away.
     """
     q = (np.exp(-1j * float(t)) * curve.gamma).imag
     dq = np.roll(q, -1) - q
-    if deadband is None:
-        deadband = 1e-9 * (q.max() - q.min())
+    deadband = DIRECTION_DEADBAND * (q.max() - q.min())
     s = np.sign(dq[np.abs(dq) > deadband])
     if s.size < 2:
         return DirectionalReport(float(t), False, 0)
@@ -184,17 +180,16 @@ def winding_number(curve: BoundaryCurve, w: complex) -> int:
     return int(round(float(total) / (2.0 * np.pi)))
 
 
-def parabola_residual(curve: BoundaryCurve,
-                      exclude: float = PARABOLA_EXCLUDE) -> float:
+def parabola_residual(curve: BoundaryCurve) -> float:
     """Worst deviation from Re w + (Im w)^2 + 1/4 = 0 away from theta = 0.
 
     The implicit equation is the parabola with focus -1/2 and directrix
-    Re w = 0.  Samples within ``exclude`` radians of theta = 0 are skipped:
+    Re w = 0.  Samples within ``PARABOLA_EXCLUDE`` radians of theta = 0 are skipped:
     there the circle image sweeps out to the domain's unbounded end (the
     residual grows like (1-r)^-2 regardless of r), while on the remaining
     arc the residual decays as r -> 1.
     """
     th = curve.theta
-    keep = np.minimum(th, 2.0 * np.pi - th) >= exclude
+    keep = np.minimum(th, 2.0 * np.pi - th) >= PARABOLA_EXCLUDE
     g = curve.gamma[keep]
     return float(np.abs(g.real + g.imag ** 2 + 0.25).max())

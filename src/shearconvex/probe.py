@@ -16,28 +16,35 @@ r grows (their pockets shrink like 1 - r); genuine non-convexity of the full
 image leaves a fixed pocket that never fills in.
 
 NO_FAILURE_FOUND is a report about the family searched, never a proof of
-admissibility.
+admissibility; INCOMPLETE says no failure was found but some dilatation
+could not be checked.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (ConvexityReport, convexity_check_resolved,
-                       sample_boundary, DEFAULT_BACKTURN_TOL)
+from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, TURNING_SAMPLES,
+                       ConvexityReport, convexity_check_resolved, sample_boundary)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
-from .specs import DEFAULT_FAMILY, family_from_spec, format_eta, parse_phi
+from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, family_from_spec, format_eta,
+                    parse_phi)
 
-DEFAULT_RADII = (0.9, 0.99, 0.999)
 WINDING_SAMPLES = 2048
 WINDING_SAMPLES_MAX = 131072
+WINDING_MAX_ROUNDS = 24          # local subdivision rounds per winding query
 MAX_TRUSTED_ARG_STEP = 1.8       # rad subtended at the query point per curve step
 BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractions of pi
+NEWTON_ITERS = 40
+NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
+ONSET_STEPS = 8                  # bisection steps of the onset radius
+MODAL_ANGLE_TOL = 0.01           # rad; tangents this close to the mode are modal
+MODAL_FRAC = 0.5                 # share of modal samples a straight edge needs
+LINE_RESIDUAL_FRAC = 1e-3        # line-cluster width, fraction of the image span
 
 
 def _extension_radii(r_top: float) -> Tuple[float, float]:
@@ -51,15 +58,14 @@ class _WindingCurves:
     radius, later queries reuse them.
     """
 
-    def __init__(self, f: HarmonicMap, n0: int = WINDING_SAMPLES):
+    def __init__(self, f: HarmonicMap):
         self.f = f
-        self.n0 = n0
         self._curves: dict = {}
 
     def _base(self, r: float):
         got = self._curves.get(r)
         if got is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, self.n0, endpoint=False)
+            theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
             gamma = self.f.map_points(r * np.exp(1j * theta))
             got = self._curves[r] = (theta, gamma)
         return got
@@ -77,8 +83,7 @@ class _WindingCurves:
         self._curves[r] = out
         return out
 
-    def winding(self, m: complex, r: float, max_rounds: int = 24,
-                max_points: int = WINDING_SAMPLES_MAX) -> Optional[int]:
+    def winding(self, m: complex, r: float) -> Optional[int]:
         """Winding of the radius-r image curve around m, or None if untrustable.
 
         Two failure modes of the discrete sum are handled by local
@@ -90,7 +95,7 @@ class _WindingCurves:
         Jordan; any winding outside {0, 1} is reported as untrustable.
         """
         theta, gamma = self._base(r)
-        for _ in range(max_rounds):
+        for _ in range(WINDING_MAX_ROUNDS):
             d = gamma - m
             dist = np.abs(d)
             if dist.min() < 1e-9 * (1.0 + abs(m)):
@@ -102,17 +107,10 @@ class _WindingCurves:
             if not bad.any():
                 w = int(round(float(darg.sum()) / (2.0 * np.pi)))
                 return w if w in (0, 1) else None
-            if theta.size + 7 * int(bad.sum()) > max_points:
+            if theta.size + 7 * int(bad.sum()) > WINDING_SAMPLES_MAX:
                 return None
             theta, gamma = self._refine(r, theta, gamma, bad)
         return None
-
-
-def trusted_winding(f: HarmonicMap, m: complex, r: float,
-                    curves: Optional[_WindingCurves] = None) -> Optional[int]:
-    if curves is None:
-        curves = _WindingCurves(f)
-    return curves.winding(m, r)
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,6 @@ class ProbeConfig:
     eta: complex
     family_spec: str = DEFAULT_FAMILY
     radii: Tuple[float, ...] = DEFAULT_RADII
-    n_samples: int = 4096
-    tol_backturn: float = DEFAULT_BACKTURN_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(sorted(float(r) for r in self.radii)))
@@ -150,7 +146,12 @@ class ProbeReport:
 
     @property
     def summary(self) -> str:
-        return "FAILURE" if self.failures else "NO_FAILURE_FOUND"
+        """FAILURE, else INCOMPLETE if an omega errored, else NO_FAILURE_FOUND."""
+        if self.failures:
+            return "FAILURE"
+        if any("error" in rows for rows in self.per_omega.values()):
+            return "INCOMPLETE"
+        return "NO_FAILURE_FOUND"
 
     def to_jsonable(self) -> dict:
         cfg = self.config
@@ -160,8 +161,8 @@ class ProbeReport:
                 "eta": format_eta(cfg.eta),
                 "family": cfg.family_spec,
                 "radii": list(cfg.radii),
-                "n_samples": cfg.n_samples,
-                "tol_backturn": cfg.tol_backturn,
+                "n_samples": TURNING_SAMPLES,
+                "tol_backturn": BACKTURN_TOL,
             },
             "summary": self.summary,
             "disclaimer": ("NO_FAILURE_FOUND reports the searched family only; "
@@ -184,10 +185,9 @@ class ProbeReport:
             "notes": self.notes,
         }
 
-    def to_json(self, precision: int = 12) -> str:
-        from .render import round_floats
-        return json.dumps(round_floats(self.to_jsonable(), precision),
-                          sort_keys=True, indent=1)
+    def to_json(self) -> str:
+        from .render import dumps_report   # on first use: keeps package import lean
+        return dumps_report(self.to_jsonable())
 
 
 def _record(rep: ConvexityReport) -> dict:
@@ -233,8 +233,8 @@ def _window_anchors(rep: ConvexityReport) -> list:
 _SEED_RHOS = (0.5, 0.9, 0.99, 0.999, 0.9999)
 
 
-def newton_preimage(f: HarmonicMap, m: complex, anchors: Sequence[float] = (),
-                    iters: int = 40, tol: float = 1e-8) -> Optional[complex]:
+def newton_preimage(f: HarmonicMap, m: complex,
+                    anchors: Sequence[float] = ()) -> Optional[complex]:
     """Solve f(z) = m inside the disk by damped Newton from a seed battery.
 
     The linearization h'(z) dz + conj(g'(z) dz) = m - f(z) is a 2x2 real
@@ -248,9 +248,9 @@ def newton_preimage(f: HarmonicMap, m: complex, anchors: Sequence[float] = (),
     seeds = np.array([rho * np.exp(1j * t) for rho in _SEED_RHOS for t in angles])
     z = seeds.copy()
     eps = 1e-9
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         res = f.map_points(z) - m
-        done = np.abs(res) <= tol * (1.0 + abs(m))
+        done = np.abs(res) <= NEWTON_TOL * (1.0 + abs(m))
         if done.any():
             return complex(z[done][0])
         h1, g1 = f.derivatives(z)
@@ -271,7 +271,7 @@ def newton_preimage(f: HarmonicMap, m: complex, anchors: Sequence[float] = (),
         z = z_new
     res = np.abs(f.map_points(z) - m)
     k = int(res.argmin())
-    if res[k] <= tol * (1.0 + abs(m)) and abs(z[k]) < 1.0 - eps:
+    if res[k] <= NEWTON_TOL * (1.0 + abs(m)) and abs(z[k]) < 1.0 - eps:
         return complex(z[k])
     return None
 
@@ -288,15 +288,14 @@ def midpoint_certificate(f: HarmonicMap, r: float,
     return None
 
 
-def _onset_radius(f: HarmonicMap, r_fail: float, r_floor: Optional[float],
-                  n0: int, tol_backturn: float, steps: int = 8) -> float:
+def _onset_radius(f: HarmonicMap, r_fail: float, r_floor: Optional[float]) -> float:
     """Bisect between the last non-failing ladder radius and the failing one."""
     if r_floor is None:
         return r_fail
     lo, hi = r_floor, r_fail
-    for _ in range(steps):
+    for _ in range(ONSET_STEPS):
         mid = (lo + hi) / 2.0
-        _, rp = convexity_check_resolved(f, mid, n0, tol_backturn=tol_backturn)
+        _, rp = convexity_check_resolved(f, mid)
         if rp.verdict == "NON_CONVEX":
             hi = mid
         else:
@@ -318,7 +317,7 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     ext = _extension_radii(cfg.radii[-1])
     curves = _WindingCurves(f)
     suspicious = [r for r in cfg.radii
-                  if reports[r].worst_backturn > 10.0 * cfg.tol_backturn]
+                  if reports[r].worst_backturn > 10.0 * BACKTURN_TOL]
     for r_anchor in reversed(suspicious):
         anchors = _window_anchors(reports[r_anchor])
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
@@ -348,8 +347,7 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
             prev_ok: Optional[float] = None
             floor_below: Optional[float] = None
             for r in cfg.radii:
-                _, rep = convexity_check_resolved(f, r, cfg.n_samples,
-                                                  tol_backturn=cfg.tol_backturn)
+                _, rep = convexity_check_resolved(f, r)
                 rows[repr(r)] = _record(rep)
                 reports[r] = rep
                 if rep.verdict == "NON_CONVEX":
@@ -375,8 +373,7 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
             cert_r, m, higher = found
             r_witness = noncvx[0]
             rep_w = reports[r_witness]
-            r_onset = _onset_radius(f, r_witness, floor_below,
-                                    cfg.n_samples, cfg.tol_backturn)
+            r_onset = _onset_radius(f, r_witness, floor_below)
             failures.append(FailureWitness(
                 omega_spec=key, r=r_witness, n=rep_w.n, theta_window=rep_w.witness,
                 worst_backturn=rep_w.worst_backturn, certificate_r=cert_r,
@@ -397,8 +394,7 @@ ROTATED_FAILING_XIS = (complex(np.exp(1j * np.pi / 4)), complex(np.exp(1j * np.p
 ROTATED_PASSING_XIS = (1.0 + 0.0j, -1.0 + 0.0j)
 
 
-def rotated_counterexample_suite(radii: Sequence[float] = DEFAULT_RADII,
-                                 n_samples: int = 4096) -> dict:
+def rotated_counterexample_suite() -> dict:
     """Vertical shears of rotations of the half-plane map.
 
     For xi outside {-1, 1} the rotation breaks admissibility and the probe
@@ -409,15 +405,13 @@ def rotated_counterexample_suite(radii: Sequence[float] = DEFAULT_RADII,
     for xi in ROTATED_FAILING_XIS:
         fam = (f"explicit:monomial:lam_re={-xi.real!r},lam_im={-xi.imag!r},N=1")
         cfg = ProbeConfig(phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}",
-                          eta=-1.0 + 0.0j, family_spec=fam, radii=tuple(radii),
-                          n_samples=n_samples)
+                          eta=-1.0 + 0.0j, family_spec=fam)
         rep = probe_admissibility(cfg)
         cases.append({"xi": [xi.real, xi.imag], "expected": "FAILURE",
                       "observed": rep.summary, "report": rep.to_jsonable()})
     for xi in ROTATED_PASSING_XIS:
         cfg = ProbeConfig(phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}",
-                          eta=-1.0 + 0.0j, family_spec=DEFAULT_FAMILY,
-                          radii=tuple(radii), n_samples=n_samples)
+                          eta=-1.0 + 0.0j, family_spec=DEFAULT_FAMILY)
         rep = probe_admissibility(cfg)
         cases.append({"xi": [xi.real, xi.imag], "expected": "NO_FAILURE_FOUND",
                       "observed": rep.summary, "report": rep.to_jsonable()})
@@ -426,8 +420,7 @@ def rotated_counterexample_suite(radii: Sequence[float] = DEFAULT_RADII,
 
 
 def css_characterization_check(f: HarmonicMap, t_grid: Sequence[float],
-                               radii: Sequence[float] = DEFAULT_RADII,
-                               n: int = 4096) -> dict:
+                               radii: Sequence[float] = DEFAULT_RADII) -> dict:
     """Cross-validate full convexity against per-direction convexity.
 
     At each radius the restricted map is convex exactly when every
@@ -441,11 +434,11 @@ def css_characterization_check(f: HarmonicMap, t_grid: Sequence[float],
     rows = []
     inconsistencies = []
     for r in radii:
-        _, rep = convexity_check_resolved(f, r, n)
+        _, rep = convexity_check_resolved(f, r)
         directions = {}
         for t in t_grid:
             comb = harmonic_from_analytic(analytic_combination(f, t))
-            curve = sample_boundary(comb, r, n)
+            curve = sample_boundary(comb, r, TURNING_SAMPLES)
             directions[repr(float(t))] = directional_convexity_check(curve, t).passed
         failing = sorted(t for t, ok in directions.items() if not ok)
         rows.append({"r": r, "verdict": rep.verdict, "directions": directions})
@@ -477,10 +470,7 @@ class RegionId:
         return (self.b - self.a) / np.pi
 
 
-def halfplane_strip_identifier(f: HarmonicMap, r_max: float = 0.999,
-                               n: int = 4096, residual_frac: float = 1e-3,
-                               angle_tol: float = 0.01,
-                               modal_frac: float = 0.5) -> RegionId:
+def halfplane_strip_identifier(f: HarmonicMap) -> RegionId:
     """Classify the near-boundary image as half-plane, strip, or neither.
 
     Straight boundary pieces reveal themselves through the tangent field:
@@ -489,9 +479,9 @@ def halfplane_strip_identifier(f: HarmonicMap, r_max: float = 0.999,
     transverse coordinates of the modal points then cluster on one line
     (half-plane, all remaining samples on a single side) or two (strip,
     everything in between).  Extreme transverse samples estimate the line
-    offsets, accurate to O(1 - r_max).
+    offsets, accurate to O(1 - r) at r = ``NEAR_BOUNDARY_RADIUS``.
     """
-    curve = sample_boundary(f, r_max, n)
+    curve = sample_boundary(f, NEAR_BOUNDARY_RADIUS, TURNING_SAMPLES)
     gamma, tang = curve.gamma, curve.tangent
     ang = np.angle(tang) % np.pi
     hist, edges = np.histogram(ang, bins=720, range=(0.0, np.pi))
@@ -499,12 +489,12 @@ def halfplane_strip_identifier(f: HarmonicMap, r_max: float = 0.999,
     center = (edges[b] + edges[b + 1]) / 2.0
     dist = np.abs(ang - center)
     dist = np.minimum(dist, np.pi - dist)
-    modal = dist <= angle_tol
-    if modal.mean() < modal_frac:
+    modal = dist <= MODAL_ANGLE_TOL
+    if modal.mean() < MODAL_FRAC:
         return RegionId("OTHER")
     span = float(np.hypot(gamma.real.max() - gamma.real.min(),
                           gamma.imag.max() - gamma.imag.min()))
-    tol = residual_frac * span
+    tol = LINE_RESIDUAL_FRAC * span
     beta = 0.5 * np.angle(np.exp(2j * ang[modal]).mean())
     if beta < 0:
         beta += np.pi

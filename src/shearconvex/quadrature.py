@@ -13,7 +13,10 @@ estimates agree.
 Convergence acceptance is ``|I_next - I| <= max(ABS_TOL + REL_TOL*|I|,
 1024*eps*|I|)``.  The relative terms matter near the boundary: at |z| = 0.999
 integrand antiderivatives reach 1e6 and an absolute 1e-12 target is below
-what float64 summation can represent.
+what float64 summation can represent.  The float floor 1024*eps (2.3e-13)
+exceeds REL_TOL, so it is the relative target actually applied: it wins over
+ABS_TOL + REL_TOL*|I| once |I| >~ 4.6, and REL_TOL only nudges the target
+for smaller |I|.
 """
 
 from __future__ import annotations

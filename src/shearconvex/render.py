@@ -11,6 +11,8 @@ from typing import Iterable, List
 
 import numpy as np
 
+SVG_SIZE = 640                  # px, width and height of a curve image
+
 
 def round_floats(obj, precision: int = 12):
     """Recursively round floats to `precision` significant digits."""
@@ -54,13 +56,14 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return (np.asarray(vals) - lo) / (hi - lo) * (out_hi - out_lo) + out_lo
 
 
-def render_curve_svg(report: dict, size: int = 640) -> str:
+def render_curve_svg(report: dict) -> str:
     """Draw the boundary curve from a convexity report.
 
     Highlights the back-turn witness window when present and overlays the
     reference parabola u = -v^2 - 1/4 when the report asks for it.  Axes are
     auto-scaled with a 5% margin.
     """
+    size = SVG_SIZE
     curve = report["curve"]
     th = np.asarray(curve["theta"], dtype=float)
     x = np.asarray(curve["re"], dtype=float)

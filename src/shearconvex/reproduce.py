@@ -19,7 +19,7 @@ from .probe import (ProbeConfig, halfplane_strip_identifier, midpoint_certificat
                     probe_admissibility, rotated_counterexample_suite)
 from .shear import (ShearSystem, analytic_combination, harmonic_from_analytic,
                     shear_construct)
-from .specs import DEFAULT_FAMILY
+from .specs import DEFAULT_FAMILY, DEFAULT_RADII
 
 Row = Tuple[str, bool, str]
 
@@ -120,16 +120,16 @@ def case_koebe_directions() -> List[Row]:
 
 def case_brannan() -> List[Row]:
     rows: List[Row] = []
-    ladder = (0.9, 0.99, 0.999)
     for label, cid in (("H", CatalogId("H")), ("H-1", CatalogId("H_ROT_MINUS1")),
                        ("L_i", CatalogId("L_LAMBDA", 1j)), ("identity", CatalogId("IDENTITY"))):
         phi = catalog(cid)
-        dev = max(abs(boundary_rotation_value(phi, r).value_over_pi - 2.0) for r in ladder)
+        dev = max(abs(boundary_rotation_value(phi, r).value_over_pi - 2.0)
+                  for r in DEFAULT_RADII)
         rows.append((f"{label}: boundary rotation value 2 (+-1e-9) on the ladder",
                      dev <= 1e-9, f"max deviation {dev:.2e}"))
     H = catalog(CatalogId("H"))
     psi1 = brannan_transform(H, -1.0, 1)
-    ok1, worst1, _ = vk_membership(psi1, 4.0, ladder)
+    ok1, worst1, _ = vk_membership(psi1, 4.0)
     rows.append(("transform of H with (lam=-1, N=1) lies in V_4 (+-1e-6)", ok1,
                  f"max value {worst1:.9f}"))
     grid = _disk_grid(0.95)
@@ -137,7 +137,7 @@ def case_brannan() -> List[Row]:
     rows.append(("that transform coincides with the Koebe function to 1e-10",
                  err <= 1e-10, f"max err {err:.2e}"))
     psi2 = brannan_transform(H, 1.0, 2)
-    ok2, worst2, _ = vk_membership(psi2, 6.0, ladder)
+    ok2, worst2, _ = vk_membership(psi2, 6.0)
     rows.append(("transform of H with (lam=1, N=2) lies in V_6 (+-1e-6)", ok2,
                  f"max value {worst2:.9f}"))
     return rows

@@ -40,11 +40,6 @@ class ShearSystem:
             raise ValueError(
                 f"phi (= {self.phi.label}) must satisfy phi(0) = 0, phi'(0) = 1")
 
-    @classmethod
-    def from_theta(cls, phi: AnalyticFunction, omega: SchwarzFunction,
-                   theta: float) -> "ShearSystem":
-        return cls(phi, omega, np.exp(2j * float(theta)))
-
     @property
     def label(self) -> str:
         e = self.eta
@@ -72,11 +67,6 @@ class HarmonicMap:
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", f"{self.h.label}+conj({self.g.label})")
-
-    def f_eval(self, z):
-        return self.h.value(z) + np.conj(self.g.value(z))
-
-    __call__ = f_eval
 
     def map_points(self, zs) -> np.ndarray:
         """Vectorized image points f(zs)."""

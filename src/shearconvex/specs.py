@@ -79,12 +79,16 @@ def parse_phi(spec: str) -> AnalyticFunction:
     return phi
 
 
+def _draw_blaschke(rng: np.random.Generator, deg: int) -> Tuple[tuple, float]:
+    """Area-uniform zeros in the cap, then a uniform phase, in that draw order."""
+    zeros = tuple(BLASCHKE_ZERO_CAP * np.sqrt(rng.uniform())
+                  * np.exp(2j * np.pi * rng.uniform()) for _ in range(deg))
+    return zeros, float(2.0 * np.pi * rng.uniform())
+
+
 def blaschke_from_seed(seed: int, deg: int, scale: float) -> BlaschkeOmega:
     """One deterministic Blaschke dilatation: area-uniform zeros in the cap."""
-    rng = np.random.default_rng(int(seed))
-    zeros = tuple(BLASCHKE_ZERO_CAP * np.sqrt(rng.uniform())
-                  * np.exp(2j * np.pi * rng.uniform()) for _ in range(int(deg)))
-    phase = float(2.0 * np.pi * rng.uniform())
+    zeros, phase = _draw_blaschke(np.random.default_rng(int(seed)), int(deg))
     return BlaschkeOmega(zeros=zeros, phase=phase, scale=complex(scale))
 
 
@@ -151,10 +155,7 @@ def family_from_spec(spec: str) -> List[SchwarzFunction]:
         seed = int(kv.get("seed", 7))
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            deg = int(rng.integers(1, deg_max + 1))
-            zeros = tuple(BLASCHKE_ZERO_CAP * np.sqrt(rng.uniform())
-                          * np.exp(2j * np.pi * rng.uniform()) for _ in range(deg))
-            phase = float(2.0 * np.pi * rng.uniform())
+            zeros, phase = _draw_blaschke(rng, int(rng.integers(1, deg_max + 1)))
             scale = complex(rng.uniform(0.5, 1.0))
             omegas.append(make_schwarz(BlaschkeOmega(zeros=zeros, phase=phase, scale=scale)))
     if head not in ("monomial-grid", "blaschke-random", "mixed"):
@@ -163,6 +164,7 @@ def family_from_spec(spec: str) -> List[SchwarzFunction]:
 
 
 DEFAULT_FAMILY = "mixed:phases=8,nmax=3,count=50,deg=3,seed=7"
+DEFAULT_RADII = (0.9, 0.99, 0.999)          # the radius ladder of probes and V_k checks
 
 
 def parse_radii(spec: str) -> Tuple[float, ...]:

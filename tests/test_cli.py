@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from shearconvex.cli import OutputSpec, main
+import shearconvex.probe
+from shearconvex.cli import main
 from shearconvex.geometry import verdict_from_increments
+from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.render import render_curve_svg
 
 
@@ -124,8 +126,32 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "report.json").exists()
 
 
-def test_output_spec_validation():
-    with pytest.raises(ValueError):
-        OutputSpec("JSON", None, precision=3)
-    with pytest.raises(ValueError):
-        OutputSpec("XML", None)
+def test_output_spec_validation(capsys):
+    code, out, err = run(capsys, "vk", "--phi", "H", "--k", "2", "--precision", "3")
+    assert code == 1
+    assert out == ""
+    assert "precision must be >= 6" in err
+
+
+def test_probe_incomplete_writes_the_report_and_exits_one(capsys, monkeypatch):
+    def stalled(*a, **k):
+        raise ToleranceNotMet("stalled")
+    monkeypatch.setattr(shearconvex.probe, "convexity_check_resolved", stalled)
+    code, out, err = run(capsys, "probe", "--phi", "H", "--eta=-1,0",
+                         "--family", "explicit:monomial:N=1")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["summary"] == "INCOMPLETE"
+    assert list(rep["per_omega"].values()) == [{"error": "ToleranceNotMet: stalled"}]
+    assert "INCOMPLETE" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["probe", "--phi", "H", "--eta=-1,0"], "--n"),
+    (["convexity", "--phi", "H"], "--tol-backturn"),
+    (["vk", "--phi", "H", "--k", "2"], "--tol")])
+def test_removed_flags_are_usage_errors(capsys, argv, flag):
+    assert main([argv[0], "--help"]) == 0
+    assert f"{flag} " not in capsys.readouterr().out
+    assert main(argv + [flag, "1"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

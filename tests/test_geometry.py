@@ -109,7 +109,7 @@ def test_winding_number_basics():
 def test_f0_midpoint_escape_witness(f0):
     # midpoint of f0(+-0.98i) sits left of the parabola vertex, outside the
     # image; frozen from direct evaluation of the closed forms
-    m = (f0.f_eval(0.98j) + f0.f_eval(-0.98j)) / 2
+    m = complex(f0.map_points(0.98j) + f0.map_points(-0.98j)) / 2
     assert m.real == pytest.approx(-0.49979598082432, abs=1e-10)
     assert abs(m.imag) < 1e-12
     c = sample_boundary(f0, 0.99, 4096)

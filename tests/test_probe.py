@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ import shearconvex.probe
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.geometry import convexity_check_resolved
-from shearconvex.probe import (ProbeConfig, css_characterization_check,
+from shearconvex.probe import (ProbeConfig, _WindingCurves,
+                               css_characterization_check,
                                halfplane_strip_identifier, midpoint_certificate,
-                               newton_preimage, probe_admissibility,
-                               trusted_winding)
+                               newton_preimage, probe_admissibility)
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (ShearSystem, harmonic_from_analytic,
                                shear_construct)
@@ -39,11 +41,11 @@ def test_failure_witness_is_reproducible(f0_report):
     w = rep.failures[0]
     f = shear_construct(ShearSystem(parse_phi(cfg.phi_spec),
                                     parse_omega(w.omega_spec), cfg.eta))
-    _, check = convexity_check_resolved(f, w.r, cfg.n_samples)
+    _, check = convexity_check_resolved(f, w.r)
     assert check.verdict == "NON_CONVEX"
     # the certificate midpoint stays outside at every recorded radius
     for r in w.persists_at:
-        assert trusted_winding(f, w.midpoint, r) == 0
+        assert _WindingCurves(f).winding(w.midpoint, r) == 0
     assert newton_preimage(f, w.midpoint) is None
 
 
@@ -52,6 +54,13 @@ def test_vertical_shears_of_h_probe_clean():
                                           family_spec=SMALL_FAMILY))
     assert rep.summary == "NO_FAILURE_FOUND"
     assert "does not prove admissibility" in rep.to_jsonable()["disclaimer"]
+
+
+def test_probe_json_config_block_is_pinned(f0_report):
+    _, rep = f0_report
+    assert json.loads(rep.to_json())["config"] == {
+        "eta": "1.0,0.0", "family": "explicit:monomial:N=1", "n_samples": 4096,
+        "phi": "H", "radii": [0.9, 0.99, 0.999], "tol_backturn": 1e-06}
 
 
 def _failing_check(exc):
@@ -76,6 +85,8 @@ def test_probe_records_numerical_failure_per_omega(monkeypatch):
     (key,) = rep.per_omega
     assert rep.per_omega[key] == {"error": "ToleranceNotMet: stalled"}
     assert any(key in note and "stalled" in note for note in rep.notes)
+    assert rep.summary == "INCOMPLETE"
+    assert json.loads(rep.to_json())["summary"] == "INCOMPLETE"
 
 
 def test_probe_determinism_byte_identical():
@@ -103,9 +114,10 @@ def test_scale_coherence_not_violated_for_f0(f0_report):
 def test_newton_preimage_finds_interior_points():
     f = shear_construct(ShearSystem(catalog(CatalogId("H")),
                                     make_schwarz(MonomialOmega(-1.0, 1)), -1.0))
-    z = newton_preimage(f, f.f_eval(0.4 + 0.3j))
+    w = complex(f.map_points(0.4 + 0.3j))
+    z = newton_preimage(f, w)
     assert z is not None
-    assert abs(f.f_eval(z) - f.f_eval(0.4 + 0.3j)) < 1e-7
+    assert abs(f.map_points(z) - w) < 1e-7
 
 
 def test_midpoint_certificate_for_f0():
@@ -177,9 +189,10 @@ def test_zero_dilatation_rows_are_convex_for_convex_data():
 
 def test_probe_survives_construction_errors():
     # a non-normalized phi makes every construction fail; the sweep reports
-    # per-omega errors instead of aborting
+    # per-omega errors instead of aborting, and the summary says the search
+    # is incomplete rather than clean
     cfg = ProbeConfig(phi_spec="f0g", eta=-1.0 + 0.0j,
                       family_spec="explicit:monomial:N=1")
     rep = probe_admissibility(cfg)
-    assert rep.summary == "NO_FAILURE_FOUND"
+    assert rep.summary == "INCOMPLETE"
     assert any("failed" in n for n in rep.notes)

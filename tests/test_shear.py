@@ -182,7 +182,7 @@ def test_normalize_rescales():
                              lambda z: 2 * H.d1(z), lambda z: 2 * H.d2(z))
     f = normalize(harmonic_from_analytic(two_h))
     z = 0.5 + 0.2j
-    assert f.f_eval(z) == pytest.approx(H.value(z), abs=1e-13)
+    assert f.map_points(z) == pytest.approx(H.value(z), abs=1e-13)
 
 
 def test_normalize_two_step_formula():
@@ -221,14 +221,9 @@ def test_invalid_system_inputs():
         ShearSystem(catalog(CatalogId("F0_G_PART")), OM_Z, 1.0)   # phi not in S
 
 
-def test_eta_from_theta():
-    sys_ = ShearSystem.from_theta(H, OM_Z, np.pi / 2)
-    assert sys_.eta == pytest.approx(-1.0 + 0.0j, abs=1e-15)
-
-
 def test_concurrent_evaluation_matches_serial(f0):
     zs = [0.3 + 0.1j, -0.2 + 0.4j, 0.55 - 0.25j, 0.7j] * 4
-    serial = [f0.f_eval(z) for z in zs]
+    serial = [f0.map_points(z) for z in zs]
     with ThreadPoolExecutor(max_workers=8) as ex:
-        conc = list(ex.map(f0.f_eval, zs))
+        conc = list(ex.map(f0.map_points, zs))
     assert serial == conc

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from shearconvex.specs import (SpecError, family_from_spec, parse_eta,
-                               parse_omega, parse_phi, parse_radii)
+from shearconvex.specs import (DEFAULT_FAMILY, SpecError, blaschke_from_seed,
+                               family_from_spec, parse_eta, parse_omega,
+                               parse_phi, parse_radii)
 
 
 def test_canonical_phi_forms():
@@ -62,3 +63,19 @@ def test_bad_specs_raise():
         parse_omega("monomial:lam_re")
     with pytest.raises(SpecError):
         parse_omega("blaschke-explicit:phase=1")
+
+
+def test_blaschke_draws_are_pinned():
+    # literal texts of the seeded generator and of the first Blaschke member
+    # of the default family; any change to the order of rng draws shows here
+    assert blaschke_from_seed(3, 2, 0.8).text == (
+        "blaschke-explicit:zeros=0.023014203072837962+0.2770716871209384j;"
+        "-0.7395619635889302-0.4197598204464772j,phase=0.5914277019096399,"
+        "scale_re=0.8,scale_im=0.0")
+    first = next(w.spec.text for w in family_from_spec(DEFAULT_FAMILY)
+                 if w.spec.text.startswith("blaschke"))
+    assert first == (
+        "blaschke-explicit:zeros=-0.03926935737071788-0.7588166186486169j;"
+        "-0.2778096179001788-0.07346155301622305j;"
+        "0.4675421742512059-0.48955975994511725j,phase=2.269889027609814,"
+        "scale_re=0.7990920336036065,scale_im=0.0")
