@@ -45,7 +45,7 @@ def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
     n = _angle_count(r)
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     z = r * np.exp(1j * theta)
-    _, d1, d2 = phi.eval(z)
+    d1, d2 = phi.d1(z), phi.d2(z)      # the value channel may be quadrature: never read it
     if np.abs(d1).min() < 1e-12:
         raise ValueError(f"phi' vanishes on |z| = {r}; boundary rotation undefined")
     integrand = np.abs((1.0 + z * d2 / d1).real)

@@ -77,8 +77,7 @@ def cmd_shear(args) -> int:
     f = shear_construct(sys_)
     theta = np.linspace(0.0, 2.0 * np.pi, args.n, endpoint=False)
     z = args.r * np.exp(1j * theta)
-    h = f.h.value(z)
-    g = f.g.value(z)
+    h, g = f.parts(z)
     gamma = h + np.conj(g)
     rows = zip(theta, z.real, z.imag, gamma.real, gamma.imag,
                h.real, h.imag, g.real, g.imag)
@@ -230,10 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_eta(argv) -> list:
+    """``--eta VALUE`` as ``--eta=VALUE``: argparse takes a separate ``-1,0`` for an option."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--eta" and not out[i + 1].startswith("--"):
+            out[i:i + 2] = ["--eta=" + out[i + 1]]
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_eta(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)

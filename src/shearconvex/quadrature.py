@@ -10,6 +10,11 @@ endpoint (the only place a radial path approaches the unit circle, where
 catalog integrands blow up); the grading depth is increased until successive
 estimates agree.
 
+Integrands that share factors (a shear's h' and g' share phi' and omega)
+can be stacked into one call.  Each component of each endpoint passes the
+acceptance test below on its own and is frozen at its own depth, so it is
+bit-for-bit what integrating that component alone gives.
+
 Convergence acceptance is ``|I_next - I| <= max(ABS_TOL + REL_TOL*|I|,
 1024*eps*|I|)``.  The relative terms matter near the boundary: at |z| = 0.999
 integrand antiderivatives reach 1e6 and an absolute 1e-12 target is below
@@ -46,34 +51,38 @@ def _panel_nodes(t0: float, t1: float):
 
 
 def _batch_panel(fprime, z, t0: float, t1: float) -> np.ndarray:
-    """GL integral of fprime over the sub-segments z*[t0, t1], one per entry."""
+    """GL integrals of fprime over the sub-segments z*[t0, t1], one per entry
+    (and per stacked component); each row is summed on its own."""
     t, w = _panel_nodes(t0, t1)
-    return (fprime(z[:, None] * t[None, :]) * w[None, :]).sum(axis=1)
+    return (fprime(z[:, None] * t[None, :]) * w).sum(axis=-1)
 
 
 def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
     """Radial antiderivatives for a batch of endpoints, vectorized.
 
-    ``fprime`` must accept complex ndarrays.  The parameter interval [0, 1]
-    is split at 1 - 2^-j; refinement pushes the grading front toward 1,
-    reusing every previously integrated head panel, so each level costs two
-    panel evaluations per unconverged endpoint.  The result has the shape of
-    ``zs`` (0-d for a scalar endpoint).
+    ``fprime`` must accept complex ndarrays x and return one integrand shaped
+    like x, or k stacked ones shaped ``(k,) + x.shape``.  The parameter
+    interval [0, 1] is split at 1 - 2^-j; refinement pushes the grading front
+    toward 1, reusing every previously integrated head panel, so each level
+    costs two panel evaluations per endpoint with a component still
+    refining.  The result has the shape of ``zs`` (0-d for a scalar
+    endpoint), after the component axis of a stacked integrand.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     if flat.size and np.abs(flat).max() >= 1.0:
         raise ValueError("antiderivative endpoints must lie in the open unit disk")
-    out = np.zeros(flat.shape, dtype=complex)
     todo = np.flatnonzero(flat != 0)
-    if todo.size == 0:
-        return out.reshape(zs.shape)
     z = flat[todo]
-    acc = np.zeros(todo.shape, dtype=complex)       # head integral over [0, 1 - 2^-depth]
+    if todo.size == 0:      # an empty call shows whether fprime is stacked
+        return np.zeros(np.shape(fprime(z))[:-1] + zs.shape, dtype=complex)
+    acc = 0.0                                       # head integral over [0, 1 - 2^-depth]
     for j in range(depth0):
-        acc += _batch_panel(fprime, z, 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1))
+        acc = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-j), 1.0 - 2.0 ** (-j - 1))
     depth = depth0
     prev = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0)
+    out = np.zeros(prev.shape[:-1] + flat.shape, dtype=complex)
+    live = np.ones(prev.shape, dtype=bool)          # components still refining
     max_depth = max(MAX_DEPTH, depth0 + 4)
     while True:
         acc = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth),
@@ -81,15 +90,19 @@ def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
         depth += 1
         vals = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0)
         tol = np.maximum(ABS_TOL + REL_TOL * np.abs(vals), _FLOAT_FLOOR * np.abs(vals))
-        ok = np.abs(vals - prev) <= tol
+        ok = live & (np.abs(vals - prev) <= tol)
         if ok.any():
-            out[todo[ok]] = (vals[ok] * flat[todo[ok]])
-            keep = ~ok
-            todo, z, acc, vals = todo[keep], z[keep], acc[keep], vals[keep]
+            *comp, pt = np.nonzero(ok)
+            out[(*comp, todo[pt])] = vals[ok] * flat[todo[pt]]
+            live &= ~ok
+            keep = live.reshape(-1, todo.size).any(axis=0)
+            todo, z, acc, vals, live = (todo[keep], z[keep], acc[..., keep],
+                                        vals[..., keep], live[..., keep])
         if todo.size == 0:
             break
         if depth >= max_depth:
-            raise ToleranceNotMet(
-                f"batch antiderivative stalled for {todo.size} points at grading depth {depth}")
+            stalled = live.reshape(-1, todo.size).sum(axis=1)
+            raise ToleranceNotMet(f"batch antiderivative stalled for "
+                                  f"{stalled[stalled > 0][0]} points at grading depth {depth}")
         prev = vals
-    return out.reshape(zs.shape)
+    return out.reshape(out.shape[:-1] + zs.shape)

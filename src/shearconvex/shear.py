@@ -10,6 +10,9 @@ closed-form:
     g'' = omega' * h' + omega * h''
 
 so boundary tangents downstream never touch quadrature.
+
+h' and g' share phi' and omega, so a shear evaluates them as one stacked
+pair: h and g share one quadrature, and tangents one evaluation of the pair.
 """
 
 from __future__ import annotations
@@ -57,25 +60,38 @@ def antiderivative_function(label: str, d1_fn: Callable, d2_fn: Callable) -> Ana
 
 @dataclass(frozen=True)
 class HarmonicMap:
-    """Harmonic f = h + conj(g) with analytic parts carrying derivatives."""
+    """Harmonic f = h + conj(g) with analytic parts carrying derivatives.
+
+    ``d1_pair``, when set, returns (h', g') stacked on a leading axis.
+    """
 
     h: AnalyticFunction
     g: AnalyticFunction
     provenance: Optional[ShearSystem] = None
     label: str = field(default="")
+    d1_pair: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", f"{self.h.label}+conj({self.g.label})")
 
+    def parts(self, zs):
+        """(h(zs), g(zs)); with ``d1_pair`` set, from one stacked quadrature."""
+        zs = np.asarray(zs, dtype=complex)
+        if self.d1_pair is None:
+            return self.h.value(zs), self.g.value(zs)
+        return tuple(antiderivative_many(self.d1_pair, zs))
+
     def map_points(self, zs) -> np.ndarray:
         """Vectorized image points f(zs)."""
-        zs = np.asarray(zs, dtype=complex)
-        return self.h.value(zs) + np.conj(self.g.value(zs))
+        h, g = self.parts(zs)
+        return h + np.conj(g)
 
     def derivatives(self, zs):
         """(h'(zs), g'(zs)); never touches the quadrature-backed value channel."""
-        return self.h.d1(zs), self.g.d1(zs)
+        if self.d1_pair is None:
+            return self.h.d1(zs), self.g.d1(zs)
+        return tuple(self.d1_pair(zs))
 
 
 def shear_construct(sys: ShearSystem) -> HarmonicMap:
@@ -84,22 +100,30 @@ def shear_construct(sys: ShearSystem) -> HarmonicMap:
     om_v, om_d1 = sys.omega.value_fn, sys.omega.d1_fn
     eta = sys.eta
 
+    def hgp(z):
+        # (phi'/den, omega*phi'/den), den = 1 - eta*omega, from one phi' and
+        # one omega; den is parked in the h' row, so no temporaries are made
+        p1, om = phi_d1(z), om_v(z)
+        out = np.empty((2,) + np.shape(z), dtype=complex)
+        h1, g1 = out[0, ...], out[1, ...]
+        np.subtract(1.0, np.multiply(eta, om, out=h1), out=h1)
+        np.divide(np.multiply(om, p1, out=g1), h1, out=g1)
+        np.divide(p1, h1, out=h1)
+        return out
+
     def hp(z):
-        return phi_d1(z) / (1.0 - eta * om_v(z))
+        return hgp(z)[0]
 
     def hpp(z):
         den = 1.0 - eta * om_v(z)
         return (phi_d2(z) * den + eta * om_d1(z) * phi_d1(z)) / den ** 2
 
-    def gp(z):
-        return om_v(z) * phi_d1(z) / (1.0 - eta * om_v(z))
-
     def gpp(z):
         return om_d1(z) * hp(z) + om_v(z) * hpp(z)
 
     h = antiderivative_function(f"h[{sys.label}]", hp, hpp)
-    g = antiderivative_function(f"g[{sys.label}]", gp, gpp)
-    return HarmonicMap(h, g, provenance=sys, label=sys.label)
+    g = antiderivative_function(f"g[{sys.label}]", lambda z: hgp(z)[1], gpp)
+    return HarmonicMap(h, g, provenance=sys, label=sys.label, d1_pair=hgp)
 
 
 def harmonic_from_analytic(phi: AnalyticFunction) -> HarmonicMap:

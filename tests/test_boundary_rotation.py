@@ -114,3 +114,14 @@ def test_invalid_inputs():
         brannan_transform(H, 2.0, 1)
     with pytest.raises(ValueError):
         brannan_transform(H, 1.0, 0)
+
+
+def test_rotation_never_reads_the_value_channel():
+    # the value channel of a Brannan transform or a shear part is quadrature;
+    # the functional needs only phi' and phi''
+    H = catalog(CatalogId("H"))
+
+    def unreadable(z):
+        raise AssertionError("boundary_rotation_value read the value channel")
+    phi = AnalyticFunction("H without value", unreadable, H.d1_fn, H.d2_fn)
+    assert boundary_rotation_value(phi, 0.99) == boundary_rotation_value(H, 0.99)

@@ -79,6 +79,15 @@ def test_probe_failure_reports_but_exits_zero(capsys):
     assert rep["failures"][0]["omega"].startswith("monomial")
 
 
+def test_negative_eta_as_a_separate_word(capsys):
+    argv = ["probe", "--phi", "H", "--family", "explicit:monomial:N=1", "--radii", "0.9"]
+    joined = run(capsys, *argv, "--eta=-1,0")
+    assert joined[0] == 0 and json.loads(joined[1])["config"]["eta"] == "-1.0,0.0"
+    assert run(capsys, *argv, "--eta", "-1,0") == joined
+    code, _, err = run(capsys, "probe", "--phi", "H", "--eta", "--radii", "0.9")
+    assert code == 1 and "expected one argument" in err
+
+
 def test_probe_seed_echo(capsys):
     code, out, _ = run(capsys, "probe", "--phi", "H", "--eta", "theta=1.5707963267948966",
                        "--family", "blaschke-random:count=2,deg=1,seed=7",

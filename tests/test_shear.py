@@ -1,3 +1,4 @@
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -7,7 +8,8 @@ import pytest
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    ZeroOmega, catalog, make_schwarz,
                                    rotate_analytic)
-from shearconvex.quadrature import ABS_TOL
+from shearconvex.quadrature import ABS_TOL, ORDER, antiderivative_many
+from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
 from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, normalize,
                                rotate_harmonic, shear_construct)
@@ -227,3 +229,63 @@ def test_concurrent_evaluation_matches_serial(f0):
     with ThreadPoolExecutor(max_workers=8) as ex:
         conc = list(ex.map(f0.map_points, zs))
     assert serial == conc
+
+
+SEED7_BLASCHKE = family_from_spec(DEFAULT_FAMILY)[27]
+FUSED_SYSTEMS = [ShearSystem(H, OM_Z, 1.0), ShearSystem(H, SEED7_BLASCHKE, -1.0),
+                 ShearSystem(catalog(CatalogId("L_LAMBDA", 1j)), make_schwarz(MonomialOmega(-1.0, 3)),
+                             complex(np.exp(0.7j)))]
+# the ring at 0.999 plus points where h' and g' of the seed-7 Blaschke
+# system settle at different grading depths
+FUSED_POINTS = np.concatenate([0.999 * np.exp(2j * np.pi * np.arange(24) / 24),
+                               [0.9993306614950062 + 0.03373779773419244j,
+                                0.9998644131771565 - 0.00843595056294625j,
+                                0.999, 0.99, 0.5 - 0.3j, 0.0]])
+
+
+@pytest.mark.parametrize("sys_", FUSED_SYSTEMS, ids=lambda s: s.label[:48])
+def test_fused_channels_equal_the_separate_routes_bit_for_bit(sys_):
+    # map_points and derivatives read one stacked (h', g'); each part must be
+    # exactly what integrating and evaluating it on its own gives
+    f = shear_construct(sys_)
+    p1, om, eta = sys_.phi.d1, sys_.omega.value, sys_.eta
+    hp = lambda z: p1(z) / (1.0 - eta * om(z))
+    gp = lambda z: om(z) * p1(z) / (1.0 - eta * om(z))
+    zs = FUSED_POINTS
+    h, g = antiderivative_many(hp, zs), antiderivative_many(gp, zs)
+    assert np.array_equal(f.map_points(zs), h + np.conj(g))
+    assert np.array_equal(f.map_points(zs), f.h.value(zs) + np.conj(f.g.value(zs)))
+    fh, fg = f.parts(zs)
+    assert np.array_equal(fh, h) and np.array_equal(fg, g)
+    h1, g1 = f.derivatives(zs)
+    assert np.array_equal(h1, hp(zs)) and np.array_equal(g1, gp(zs))
+    assert np.array_equal(h1, f.h.d1(zs)) and np.array_equal(g1, f.g.d1(zs))
+
+
+def _counted(fn, counts, key):
+    def wrapper(z):
+        counts[key] += np.size(z)
+        return fn(z)
+    return wrapper
+
+
+def test_one_phi_prime_and_one_omega_per_point():
+    counts = dict.fromkeys(("phi'", "phi''", "omega", "omega'", "nodes"), 0)
+    phi = dataclasses.replace(H, d1_fn=_counted(H.d1_fn, counts, "phi'"),
+                              d2_fn=_counted(H.d2_fn, counts, "phi''"))
+    omega = dataclasses.replace(SEED7_BLASCHKE,
+                                value_fn=_counted(SEED7_BLASCHKE.value_fn, counts, "omega"),
+                                d1_fn=_counted(SEED7_BLASCHKE.d1_fn, counts, "omega'"))
+    f = shear_construct(ShearSystem(phi, omega, -1.0))
+    f = dataclasses.replace(f, d1_pair=_counted(f.d1_pair, counts, "nodes"))
+    counts.update(dict.fromkeys(counts, 0))        # ShearSystem checks phi at 0
+    zs = FUSED_POINTS[:-1]
+    f.map_points(zs)
+    # at least depth0 + 1 + 2 panels of ORDER nodes for every endpoint
+    assert counts["nodes"] >= zs.size * ORDER * 7
+    assert counts["phi'"] == counts["omega"] == counts["nodes"]
+    assert counts["phi''"] == counts["omega'"] == 0
+    counts.update(dict.fromkeys(counts, 0))
+    f.derivatives(zs)
+    assert counts["phi'"] == counts["omega"] == counts["nodes"] == zs.size
+    assert counts["phi''"] == counts["omega'"] == 0
