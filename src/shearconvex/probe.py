@@ -54,34 +54,45 @@ def _extension_radii(r_top: float) -> Tuple[float, float]:
 class _WindingCurves:
     """Adaptively refined image-curve samples per radius, shared across queries.
 
-    Refinements accumulate: once a thin pocket forced extra samples at some
-    radius, later queries reuse them.
+    Positions come from ``HarmonicMap.parts_on_circle``: (h, g) chained along
+    chords between neighbouring samples from radial anchors (every
+    ``CHAIN_STRIDE``-th sample, and wherever a chord does not converge or a
+    pole's excursion ends), which agrees with the radial route to about
+    1e-11 relative; the winding is an integer, so that moves no verdict.
+    Each radius caches its (h, g), the curve and the chord lengths between
+    neighbours.  Refinements accumulate: the new samples inside a bad step
+    are chained from its left end, and once a thin pocket forced extra
+    samples at some radius, later queries reuse them.
     """
 
     def __init__(self, f: HarmonicMap):
         self.f = f
         self._curves: dict = {}
 
+    def _store(self, r: float, theta, hg):
+        """Cache (theta, gamma, (h, g), chord lengths to the next sample) at r."""
+        gamma = hg[0] + np.conj(hg[1])
+        chord = np.abs(np.roll(gamma, -1) - gamma)
+        got = self._curves[r] = (theta, gamma, hg, chord)
+        return got
+
     def _base(self, r: float):
         got = self._curves.get(r)
         if got is None:
             theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
-            gamma = self.f.map_points(r * np.exp(1j * theta))
-            got = self._curves[r] = (theta, gamma)
+            got = self._store(r, theta, self.f.parts_on_circle(r, theta))
         return got
 
     def _refine(self, r: float, theta, gamma, bad):
+        hg = self._curves[r][2]
         widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
-        sub = np.arange(1, 8) / 8.0
-        new_theta = (theta[bad, None] + widths[bad, None] * sub[None, :]).ravel() \
-            % (2.0 * np.pi)
-        new_gamma = self.f.map_points(r * np.exp(1j * new_theta))
-        theta = np.concatenate([theta, new_theta])
-        gamma = np.concatenate([gamma, new_gamma])
+        steps = theta[bad, None] + widths[bad, None] * (np.arange(8) / 8.0)[None, :]
+        new_hg = self.f.parts_on_circle(r, steps, start=hg[:, bad])[:, :, 1:]
+        theta = np.concatenate([theta, (steps[:, 1:] % (2.0 * np.pi)).ravel()])
+        hg = np.concatenate([hg, new_hg.reshape(2, -1)], axis=1)
         order = np.argsort(theta)
-        out = (theta[order], gamma[order])
-        self._curves[r] = out
-        return out
+        theta, gamma = self._store(r, theta[order], hg[:, order])[:2]
+        return theta, gamma
 
     def winding(self, m: complex, r: float) -> Optional[int]:
         """Winding of the radius-r image curve around m, or None if untrustable.
@@ -94,14 +105,13 @@ class _WindingCurves:
         value).  Since the maps probed here are univalent their curves are
         Jordan; any winding outside {0, 1} is reported as untrustable.
         """
-        theta, gamma = self._base(r)
+        theta, gamma, _, chord = self._base(r)
         for _ in range(WINDING_MAX_ROUNDS):
             d = gamma - m
             dist = np.abs(d)
             if dist.min() < 1e-9 * (1.0 + abs(m)):
                 return None
             darg = np.angle(np.roll(d, -1) / d)
-            chord = np.abs(np.roll(gamma, -1) - gamma)
             bad = (np.abs(darg) > MAX_TRUSTED_ARG_STEP) \
                 | (chord > 0.5 * np.minimum(dist, np.roll(dist, -1)))
             if not bad.any():
@@ -110,6 +120,7 @@ class _WindingCurves:
             if theta.size + 7 * int(bad.sum()) > WINDING_SAMPLES_MAX:
                 return None
             theta, gamma = self._refine(r, theta, gamma, bad)
+            chord = self._curves[r][3]
         return None
 
 

@@ -1,8 +1,8 @@
-"""Radial antiderivatives of analytic integrands inside the unit disk.
+"""Antiderivatives of analytic integrands inside the unit disk.
 
 Antiderivatives F with F(0) = 0 are recovered by integrating along the
 radial segment [0, z]; analyticity on the disk makes any disk-contained path
-valid, and the radial one is the shortest.
+valid, and the radial one is the shortest from the origin.
 
 :func:`antiderivative_many` is a vectorized scheme for batches of endpoints.
 Gauss-Legendre panels on [0, 1] are geometrically graded toward the outer
@@ -22,6 +22,20 @@ what float64 summation can represent.  The float floor 1024*eps (2.3e-13)
 exceeds REL_TOL, so it is the relative target actually applied: it wins over
 ABS_TOL + REL_TOL*|I| once |I| >~ 4.6, and REL_TOL only nudges the target
 for smaller |I|.
+
+Points sampled densely along a circle get F by chaining instead (the
+winding curves of ``probe``; see ``HarmonicMap.parts_on_circle`` for where
+the radial anchors go).  :func:`chord_increments` integrates F' over the
+short straight chord between neighbouring samples, which lies inside the
+disk because the disk is convex, with Gauss-Legendre panels of the same
+order and whole-versus-halves bisection; the caller sums the increments
+from radial anchors computed by :func:`antiderivative_many`.  A chord piece
+passes the same acceptance test with |I| replaced by max(|piece|, |F at the
+chord's start| / 2^level): a short step near a pole has partial integrals
+far larger than its increment, and only the size of F itself says what
+float64 can resolve there.  A chord still failing after ``CHORD_LEVELS``
+bisections is reported, not raised, and the caller anchors its endpoint
+radially.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-14
 ORDER = 15                      # Gauss-Legendre nodes per panel
 MAX_DEPTH = 40                  # grading depth at which refinement gives up
+CHORD_LEVELS = 10               # bisection levels at which a chord step gives up
 _FLOAT_FLOOR = 1024 * np.finfo(float).eps
 
 
@@ -48,6 +63,12 @@ def _panel_nodes(t0: float, t1: float):
     x, w = np.polynomial.legendre.leggauss(ORDER)
     mid, half = (t0 + t1) / 2.0, (t1 - t0) / 2.0
     return mid + half * x, half * w
+
+
+def _converged(new, old, scale) -> np.ndarray:
+    """The acceptance test of both routes: |new - old| against a target
+    relative to ``scale``."""
+    return np.abs(new - old) <= np.maximum(ABS_TOL + REL_TOL * scale, _FLOAT_FLOOR * scale)
 
 
 def _batch_panel(fprime, z, t0: float, t1: float) -> np.ndarray:
@@ -89,8 +110,7 @@ def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
                                  1.0 - 2.0 ** (-depth - 1))
         depth += 1
         vals = acc + _batch_panel(fprime, z, 1.0 - 2.0 ** (-depth), 1.0)
-        tol = np.maximum(ABS_TOL + REL_TOL * np.abs(vals), _FLOAT_FLOOR * np.abs(vals))
-        ok = live & (np.abs(vals - prev) <= tol)
+        ok = live & _converged(vals, prev, np.abs(vals))
         if ok.any():
             *comp, pt = np.nonzero(ok)
             out[(*comp, todo[pt])] = vals[ok] * flat[todo[pt]]
@@ -106,3 +126,57 @@ def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
                                   f"{stalled[stalled > 0][0]} points at grading depth {depth}")
         prev = vals
     return out.reshape(out.shape[:-1] + zs.shape)
+
+
+def _chord_panels(fprime, a, b) -> np.ndarray:
+    """GL integrals of fprime over the chords a -> b, one per entry."""
+    t, w = _panel_nodes(0.0, 1.0)
+    d = b - a
+    return (fprime(a[:, None] + d[:, None] * t[None, :]) * w).sum(axis=-1) * d
+
+
+def chord_increments(fprime: Callable, zs, start):
+    """Increments of F along each row of points, chord by chord.
+
+    ``zs`` is (rows, m): row i is the polyline zs[i, 0] -> zs[i, 1] -> ...
+    inside the disk, and ``start`` is F at zs[:, 0], shaped (rows,) or, for
+    k stacked integrands, (k, rows).  Returns ``(incr, ok)``: ``incr`` is
+    (rows, m - 1), after the component axis, with the integral over the
+    chord zs[:, j] -> zs[:, j + 1] in column j; ``ok`` is False for a
+    chord still failing at ``CHORD_LEVELS``, whose entry is then only the
+    last estimate.  The level-0 estimates chained from ``start`` give the
+    size of F at each chord's start, which sets that chord's target.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    a, b = zs[:, :-1].ravel(), zs[:, 1:].ravel()
+    whole = _chord_panels(fprime, a, b)
+    lead = whole.shape[:-1]                          # () or (k,)
+    incr = np.zeros(whole.shape, dtype=complex)
+    ok = np.ones(a.shape, dtype=bool)
+    owner = np.arange(a.size)
+    scale = None
+    for level in range(CHORD_LEVELS + 1):
+        mid = (a + b) / 2.0
+        left, right = _chord_panels(fprime, a, mid), _chord_panels(fprime, mid, b)
+        better = left + right
+        if scale is None:                            # |F| at each chord's start
+            est = better.reshape(lead + zs[:, 1:].shape)
+            pos = np.cumsum(np.concatenate([np.asarray(start)[..., None], est], axis=-1),
+                            axis=-1)
+            scale = np.abs(pos[..., :-1]).reshape(lead + a.shape)
+        done = _converged(better, whole,
+                          np.maximum(np.abs(better), scale[..., owner] / 2.0 ** level))
+        if lead:                                     # every component converged
+            done = done.all(axis=0)
+        if level == CHORD_LEVELS:
+            ok[owner[~done]] = False
+            done[:] = True
+        np.add.at(incr, (..., owner[done]), better[..., done])
+        keep = ~done
+        a, mid, b, owner = a[keep], mid[keep], b[keep], owner[keep]
+        if owner.size == 0:
+            break
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
+        owner = np.concatenate([owner, owner])
+    return incr.reshape(lead + zs[:, 1:].shape), ok.reshape(zs[:, 1:].shape)

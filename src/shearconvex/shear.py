@@ -13,6 +13,10 @@ so boundary tangents downstream never touch quadrature.
 
 h' and g' share phi' and omega, so a shear evaluates them as one stacked
 pair: h and g share one quadrature, and tangents one evaluation of the pair.
+
+Dense samples along a circle (the winding curves) get h and g by chaining
+the pair along chords between neighbouring samples from radial anchors
+(:meth:`HarmonicMap.parts_on_circle`); every scattered point stays radial.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .functions import AnalyticFunction, SchwarzFunction, require_unimodular
-from .quadrature import antiderivative_many
+from .quadrature import antiderivative_many, chord_increments
 
 S_NORMALIZATION_TOL = 1e-10
+CHAIN_STRIDE = 128               # circle samples per radial anchor when chaining
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,72 @@ class HarmonicMap:
         if self.d1_pair is None:
             return self.h.d1(zs), self.g.d1(zs)
         return tuple(self.d1_pair(zs))
+
+    def parts_on_circle(self, r: float, theta, start=None) -> np.ndarray:
+        """(h, g) at r*e^{i theta}, stacked, chained along each row of theta.
+
+        ``theta`` ascends along its last axis; each row is chained on its own,
+        chord by chord (``chord_increments``), from radial anchors (``parts``)
+        placed at: the row's first point, unless ``start`` gives (h, g) there,
+        shaped (2, rows); every ``CHAIN_STRIDE``-th point; the end of a step
+        whose chord did not converge; and the end of a step larger than the
+        position it reaches or falling below the power of two the position
+        started in, so that a pole's excursion carries no absolute error into
+        the smaller positions after it.  Returns ``(2,) + theta.shape``.
+        """
+        theta = np.asarray(theta, dtype=float)
+        rows = theta.reshape(-1, theta.shape[-1])
+        n, m = rows.shape
+        width = min(CHAIN_STRIDE, m)
+        nb = -(-m // width)
+        if nb * width > m:          # pad with zero-length steps to whole blocks
+            rows = np.concatenate([rows, np.repeat(rows[:, -1:], nb * width - m, axis=1)], axis=1)
+        z = r * np.exp(1j * rows.reshape(n * nb, width))
+        head = np.zeros(z.shape, dtype=bool)
+        head[:, 0] = True
+        vals = np.empty((2,) + z.shape, dtype=complex)
+        radial = head.copy()
+        if start is not None:
+            radial[::nb, 0] = False
+            vals[:, ::nb, 0] = start
+        if radial.any():
+            vals[:, radial] = self.parts(z[radial])
+        pair = self.d1_pair
+        if pair is None:
+            pair = lambda x: np.stack(self.derivatives(x))
+        incr, ok = chord_increments(pair, z, vals[:, :, 0])
+        out = np.cumsum(np.concatenate([vals[:, :, :1], incr], axis=-1), axis=-1)
+        extra = np.zeros(z.shape, dtype=bool)
+        size = np.abs(out).max(axis=0)
+        octave = np.floor(np.log2(np.maximum(size, 1.0)))
+        extra[:, 1:] = (~ok | (np.abs(incr).max(axis=0) > size[:, 1:])
+                        | (octave[:, 1:] < octave[:, :-1]))
+        if extra.any():
+            vals[:, extra] = self.parts(z[extra])
+            anchor = head | extra
+            out = _chain(incr, anchor, vals[:, anchor])
+        return out.reshape(2, n, nb * width)[:, :, :m].reshape((2,) + theta.shape)
+
+
+def _chain(incr, anchor, vals) -> np.ndarray:
+    """Running sums of ``incr`` (k, rows, m - 1) along each row, restarted from
+    ``vals`` (k, anchors) at every True of ``anchor`` (rows, m), whose first
+    column is all True; each segment is summed from its own anchor."""
+    k = incr.shape[0]
+    steps = np.empty((k,) + anchor.shape, dtype=complex)
+    steps[:, :, 1:] = incr
+    steps[:, anchor] = vals
+    steps = steps.reshape(k, -1)
+    starts = np.flatnonzero(anchor)
+    lengths = np.diff(np.append(starts, anchor.size))
+    cols = np.arange(lengths.max())
+    valid = cols < lengths[:, None]
+    idx = (starts[:, None] + cols)[valid]
+    seg = np.zeros((k,) + valid.shape, dtype=complex)
+    seg[:, valid] = steps[:, idx]
+    out = np.empty_like(steps)
+    out[:, idx] = np.cumsum(seg, axis=-1)[:, valid]
+    return out.reshape((k,) + anchor.shape)
 
 
 def shear_construct(sys: ShearSystem) -> HarmonicMap:
@@ -198,11 +269,21 @@ def normalize(f: HarmonicMap) -> HarmonicMap:
 
 
 def analytic_combination(f: HarmonicMap, t: float) -> AnalyticFunction:
-    """The analytic function h - e^{2it} g used by the directional criterion."""
+    """The analytic function h - e^{2it} g used by the directional criterion.
+
+    Values and first derivatives read h and g together (``parts`` and
+    ``derivatives``), so a shear evaluates its (h', g') pair once per point.
+    """
     mu = np.exp(2j * float(t))
     h, g = f.h, f.g
-    return AnalyticFunction(
-        f"comb({f.label},t={float(t)!r})",
-        lambda z: h.value_fn(z) - mu * g.value_fn(z),
-        lambda z: h.d1_fn(z) - mu * g.d1_fn(z),
-        lambda z: h.d2_fn(z) - mu * g.d2_fn(z))
+
+    def value(z):
+        hz, gz = f.parts(z)
+        return hz - mu * gz
+
+    def d1(z):
+        h1, g1 = f.derivatives(z)
+        return h1 - mu * g1
+
+    return AnalyticFunction(f"comb({f.label},t={float(t)!r})", value, d1,
+                            lambda z: h.d2_fn(z) - mu * g.d2_fn(z))

@@ -1,12 +1,17 @@
-"""Scalar segment quadrature: an independent reference for the package's.
+"""References for the package's quadrature and for its winding curves.
 
-The package integrates only along radii, in batches, with panels graded
-geometrically toward the endpoint (``shearconvex.quadrature``).  This route
-integrates one straight segment at a time with Gauss-Legendre panels and
-adaptive bisection, the error estimated from the whole-panel vs. split-panel
-difference, and shares no code with the package's, so agreement between the
-two is evidence for both.  It uses the package's tolerances and panel order
-and raises the package's ``ToleranceNotMet`` when bisection stalls.
+The package integrates along radii, in batches, with panels graded
+geometrically toward the endpoint, and along the short chords between
+neighbouring circle samples (``shearconvex.quadrature``).  The scalar route
+here integrates one straight segment at a time with Gauss-Legendre panels
+and adaptive bisection, the error estimated from the whole-panel vs.
+split-panel difference, and shares no code with the package's, so agreement
+between the two is evidence for both.  It uses the package's tolerances and
+panel order and raises the package's ``ToleranceNotMet`` when bisection
+stalls.
+
+``RadialWindingCurves`` is the winding-curve builder with every sample placed
+radially, the reference for the package's chained positions.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from shearconvex.probe import WINDING_SAMPLES, _WindingCurves
 from shearconvex.quadrature import (ABS_TOL, MAX_DEPTH, ORDER, REL_TOL,
                                     ToleranceNotMet)
 
@@ -69,3 +75,31 @@ def antiderivative(fprime: Callable, z: complex) -> complex:
     if z == 0:
         return 0.0 + 0.0j
     return integrate_segment(fprime, 0.0, z)
+
+
+class RadialWindingCurves(_WindingCurves):
+    """``_WindingCurves`` with every sample placed by its own radial quadrature.
+
+    The package chains circle samples along chords from radial anchors; this
+    builder gives each base and refined sample ``HarmonicMap.parts`` at that
+    point, so the winding routine itself is shared and a parity test
+    compares positions only.
+    """
+
+    def _base(self, r: float):
+        got = self._curves.get(r)
+        if got is None:
+            theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
+            got = self._store(r, theta, np.stack(self.f.parts(r * np.exp(1j * theta))))
+        return got
+
+    def _refine(self, r: float, theta, gamma, bad):
+        widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
+        sub = np.arange(1, 8) / 8.0
+        new_theta = (theta[bad, None] + widths[bad, None] * sub[None, :]).ravel() \
+            % (2.0 * np.pi)
+        new_hg = np.stack(self.f.parts(r * np.exp(1j * new_theta)))
+        theta = np.concatenate([theta, new_theta])
+        hg = np.concatenate([self._curves[r][2], new_hg], axis=1)
+        order = np.argsort(theta)
+        return self._store(r, theta[order], hg[:, order])[:2]

@@ -1,0 +1,162 @@
+"""Circle samples chained along chords against the radial route."""
+
+import numpy as np
+import pytest
+
+from shearconvex import quadrature
+from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
+from shearconvex.geometry import BACKTURN_TOL, convexity_check_resolved
+from shearconvex.probe import (_WindingCurves, _candidate_midpoints, _extension_radii,
+                               _window_anchors)
+from shearconvex.quadrature import chord_increments
+from shearconvex.shear import (CHAIN_STRIDE, ShearSystem, harmonic_from_analytic,
+                               rotate_harmonic, shear_construct)
+from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_phi
+
+from oracles import RadialWindingCurves
+
+DRIFT = 1e-11                   # relative to max(1, |radial|), as the f0 pin
+LADDER = (0.9, 0.99, 0.999)     # the sweep workloads' ladder
+FAMILY = family_from_spec(DEFAULT_FAMILY)
+XI = complex(np.exp(1.3231j))   # a certify-rot grid angle whose curve whips hardest
+H = catalog(CatalogId("H"))
+
+
+def _hrot(xi):
+    return ShearSystem(parse_phi(f"H@rot:re={xi.real!r},im={xi.imag!r}"),
+                       make_schwarz(MonomialOmega(-xi, 1)), -1.0)
+
+
+SYSTEMS = {
+    "H, blaschke #27": ShearSystem(H, FAMILY[27], -1.0),
+    "H, monomial #60": ShearSystem(H, FAMILY[60], -1.0),
+    "L_i, blaschke #27": ShearSystem(parse_phi("Llambda:re=0.0,im=1.0"), FAMILY[27], -1.0),
+    "H@rot 1.3231, -xi z": _hrot(XI),
+    "f0": ShearSystem(H, make_schwarz(MonomialOmega(1.0, 1)), 1.0),
+}
+RADII = (0.99, 0.999, 0.9995, 0.9999)
+
+
+def _drift(f, r, theta, hg):
+    got = hg[0] + np.conj(hg[1])
+    ref = f.map_points(r * np.exp(1j * theta))
+    return float((np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+
+@pytest.mark.parametrize("r", RADII)
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_chained_positions_stay_on_the_radial_route(name, r):
+    f = shear_construct(SYSTEMS[name])
+    theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    hg = f.parts_on_circle(r, theta)
+    assert hg.shape == (2, 2048)
+    assert _drift(f, r, theta, hg) <= DRIFT
+    # the stride anchors are the radial values themselves
+    z = r * np.exp(1j * theta[::CHAIN_STRIDE])
+    assert np.array_equal(hg[:, ::CHAIN_STRIDE], np.stack(f.parts(z)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (300,), (3, 1), (3, 200)])
+def test_grids_of_any_length_chain(shape):
+    # rows shorter than, or not a multiple of, CHAIN_STRIDE; the first point
+    # of every row is a radial anchor
+    f = shear_construct(SYSTEMS["f0"])
+    theta = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
+    hg = f.parts_on_circle(0.99, theta)
+    assert hg.shape == (2,) + shape
+    assert _drift(f, 0.99, theta.ravel(), hg.reshape(2, -1)) <= DRIFT
+    rows = theta.reshape(-1, shape[-1])
+    assert np.array_equal(hg.reshape(2, rows.shape[0], -1)[:, :, 0],
+                          np.stack(f.parts(0.99 * np.exp(1j * rows[:, 0]))))
+
+
+@pytest.mark.parametrize("r", [0.999, 0.9999])
+def test_maps_without_a_pair_chain_their_d1_channels(r):
+    # Koebe's closed form, and the rotated f0 whose h and g integrate apart,
+    # against their chained d1 channels
+    theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    for f in (harmonic_from_analytic(catalog(CatalogId("KOEBE"))),
+              rotate_harmonic(shear_construct(SYSTEMS["f0"]), 1j)):
+        assert f.d1_pair is None
+        assert _drift(f, r, theta, f.parts_on_circle(r, theta)) <= DRIFT
+
+
+@pytest.mark.parametrize("name", ["H, blaschke #27", "H@rot 1.3231, -xi z"])
+def test_refined_subpoints_on_a_pole_step(name):
+    # the steps around phi's pole are refined three rounds deep, each round
+    # chained from the previous round's chained points
+    f = shear_construct(SYSTEMS[name])
+    pole = 0.0 if name.startswith("H,") else float(np.angle(np.conj(XI)) % (2.0 * np.pi))
+    r = 0.9999
+    curves = _WindingCurves(f)
+    theta, gamma = curves._base(r)[:2]
+    for _ in range(3):
+        gap = np.abs(np.angle(np.exp(1j * (theta - pole))))
+        bad = gap <= np.sort(gap)[3]
+        theta, gamma = curves._refine(r, theta, gamma, bad)
+    assert theta.size == 2048 + 7 * 4 * 3
+    hg = curves._curves[r][2]
+    assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
+    assert _drift(f, r, theta, hg) <= DRIFT
+
+
+def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
+    # with one bisection level the step climbing into H's pole at r = 0.9999
+    # cannot converge; it climbs, so only the cap makes its end an anchor,
+    # and that end must be the radial value bit for bit
+    monkeypatch.setattr(quadrature, "CHORD_LEVELS", 1)
+    f = shear_construct(SYSTEMS["H, blaschke #27"])
+    r = 0.9999
+    theta = np.linspace(-0.3, 0.3, 2 * CHAIN_STRIDE) + 0.001
+    z = r * np.exp(1j * theta)
+    start = np.stack(f.parts(z[::CHAIN_STRIDE]))
+    _, ok = chord_increments(f.d1_pair, z.reshape(2, CHAIN_STRIDE), start)
+    block, step = np.nonzero(~ok)
+    after = block * CHAIN_STRIDE + step + 1
+    ref = np.stack(f.parts(z))
+    assert after.size and (np.abs(ref[0, after]) > 8.0 * np.abs(ref[0, after - 1])).all()
+    hg = f.parts_on_circle(r, theta)
+    assert np.array_equal(hg[:, after], ref[:, after])
+    assert _drift(f, r, theta, hg) <= DRIFT
+
+
+def _witness_queries(f):
+    """Every (candidate, radius) winding query of a witness search of f, with
+    no early exit: all candidates of every suspicious ladder radius at every
+    larger ladder radius and at both extension radii."""
+    reports = {r: convexity_check_resolved(f, r)[1] for r in LADDER}
+    queries = []
+    for r_anchor in reversed([r for r in LADDER
+                              if reports[r].worst_backturn > 10.0 * BACKTURN_TOL]):
+        higher = sorted(tuple(r for r in LADDER if r > r_anchor)
+                        + _extension_radii(LADDER[-1]), reverse=True)
+        for m in _candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])):
+            queries.extend((m, r) for r in higher)
+    return queries
+
+
+@pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z"])
+def test_winding_parity_with_radial_positions(name):
+    f = shear_construct(SYSTEMS[name])
+    queries = _witness_queries(f)
+    assert len(queries) >= 100
+    chained, radial = _WindingCurves(f), RadialWindingCurves(f)
+    got = [chained.winding(m, r) for m, r in queries]
+    assert got == [radial.winding(m, r) for m, r in queries]
+    assert 1 in got and (0 in got) == name.startswith("H@rot")
+    refined = 0
+    for r in radial._curves:       # the same steps were refined
+        assert np.array_equal(chained._curves[r][0], radial._curves[r][0])
+        refined += chained._curves[r][0].size - 2048
+    assert refined > 0
+
+
+def test_cached_chords_follow_refinement():
+    f = shear_construct(SYSTEMS["H, blaschke #27"])
+    curves = _WindingCurves(f)
+    theta, gamma = curves._base(0.999)[:2]
+    bad = np.zeros(theta.size, dtype=bool)
+    bad[[0, 5, -1]] = True
+    theta, gamma = curves._refine(0.999, theta, gamma, bad)
+    chord = curves._curves[0.999][3]
+    assert np.array_equal(chord, np.abs(np.roll(gamma, -1) - gamma))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearconvex.functions import CatalogId, catalog
-from shearconvex.quadrature import ABS_TOL, ToleranceNotMet, antiderivative_many
+from shearconvex.quadrature import (ABS_TOL, ToleranceNotMet, antiderivative_many,
+                                    chord_increments)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
 
 from oracles import antiderivative, integrate_segment
@@ -157,3 +158,27 @@ def test_stacked_stall_reports_the_first_stalled_component():
 def test_stall_in_the_second_component_only_raises():
     with pytest.raises(ToleranceNotMet, match="stalled for 1 points"):
         antiderivative_many(lambda z: np.stack([H.d1(z), 1.0 / (0.9 - z)]), [0.9, 0.5])
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 0.9999])
+def test_chord_increments_match_closed_forms(r):
+    # rows of circle samples through H's and the Koebe function's pole
+    # direction; each increment is F(b) - F(a) up to the larger of the
+    # increment and the position it starts from
+    theta = np.linspace(-0.2, 0.2, 291).reshape(3, -1)
+    zs = r * np.exp(1j * theta)
+    for F in (H, K):
+        incr, ok = chord_increments(F.d1, zs, F.value(zs[:, 0]))
+        assert incr.shape == ok.shape == (3, 96) and ok.all()
+        exact = F.value(zs[:, 1:]) - F.value(zs[:, :-1])
+        scale = np.maximum(1.0, np.maximum(np.abs(exact), np.abs(F.value(zs[:, :-1]))))
+        assert (np.abs(incr - exact) / scale).max() <= 1e-12
+    both, _ = chord_increments(lambda z: np.stack([H.d1(z), K.d1(z)]), zs,
+                               np.stack([H.value(zs[:, 0]), K.value(zs[:, 0])]))
+    assert both.shape == (2, 3, 96)
+
+
+def test_zero_length_chords_add_exactly_nothing():
+    zs = np.array([[0.5, 0.5, 0.5j, 0.5j]])
+    incr, ok = chord_increments(H.d1, zs, H.value(zs[:, 0]))
+    assert ok.all() and incr[0, 0] == 0 and incr[0, 2] == 0 and incr[0, 1] != 0

@@ -289,3 +289,28 @@ def test_one_phi_prime_and_one_omega_per_point():
     f.derivatives(zs)
     assert counts["phi'"] == counts["omega"] == counts["nodes"] == zs.size
     assert counts["phi''"] == counts["omega'"] == 0
+
+
+def test_analytic_combination_reads_the_pair_once():
+    # L_i sheared by -z, 4,096 points at r = 0.999: h - mu*g costs what one
+    # map_points does, half of reading h and g through separate channels
+    counts = {"phi'": 0}
+    L = catalog(CatalogId("L_LAMBDA", 1j))
+    phi = dataclasses.replace(L, d1_fn=_counted(L.d1_fn, counts, "phi'"))
+    f = shear_construct(ShearSystem(phi, make_schwarz(MonomialOmega(-1.0, 1)), -1.0))
+    zs = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for t in (0.0, 0.4, np.pi / 2):
+        mu = np.exp(2j * t)
+        comb = analytic_combination(f, t)
+        counts["phi'"] = 0
+        separate = f.h.value(zs) - mu * f.g.value(zs)
+        assert counts["phi'"] == 870_240
+        counts["phi'"] = 0
+        value = comb.value(zs)
+        assert counts["phi'"] == 435_120
+        assert np.array_equal(value, separate)
+        counts["phi'"] = 0
+        d1 = comb.d1(zs)
+        assert counts["phi'"] == zs.size
+        assert np.array_equal(d1, f.h.d1(zs) - mu * f.g.d1(zs))
+        assert comb.value(0.3 + 0.2j) == f.h.value(0.3 + 0.2j) - mu * f.g.value(0.3 + 0.2j)
