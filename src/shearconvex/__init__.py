@@ -5,8 +5,7 @@ from .functions import (AnalyticFunction, BlaschkeOmega, CatalogId,
                         make_schwarz, rotate_analytic)
 from .quadrature import ToleranceNotMet, antiderivative_many
 from .shear import (HarmonicMap, ShearSystem, analytic_combination,
-                    harmonic_from_analytic, normalize, rotate_harmonic,
-                    shear_construct)
+                    harmonic_from_analytic, shear_construct)
 from .geometry import (BoundaryCurve, ConvexityReport, DirectionalReport,
                        convexity_check, convexity_check_resolved,
                        directional_convexity_check, parabola_residual,
@@ -14,9 +13,8 @@ from .geometry import (BoundaryCurve, ConvexityReport, DirectionalReport,
 from .boundary_rotation import (RotationValue, boundary_rotation_value,
                                 brannan_transform, vk_membership)
 from .probe import (FailureWitness, ProbeConfig, ProbeReport, RegionId,
-                    css_characterization_check, halfplane_strip_identifier,
-                    midpoint_certificate, probe_admissibility,
-                    rotated_counterexample_suite)
+                    halfplane_strip_identifier, midpoint_certificate,
+                    probe_admissibility, rotated_counterexample_suite)
 
 __version__ = "0.1.0"
 
@@ -28,10 +26,9 @@ __all__ = [
     "ToleranceNotMet", "ZeroOmega", "analytic_combination",
     "antiderivative_many", "boundary_rotation_value", "brannan_transform",
     "catalog", "convexity_check", "convexity_check_resolved",
-    "css_characterization_check", "directional_convexity_check",
-    "halfplane_strip_identifier", "harmonic_from_analytic",
-    "make_schwarz", "midpoint_certificate", "normalize",
+    "directional_convexity_check", "halfplane_strip_identifier",
+    "harmonic_from_analytic", "make_schwarz", "midpoint_certificate",
     "parabola_residual", "probe_admissibility", "rotate_analytic",
-    "rotate_harmonic", "rotated_counterexample_suite", "sample_boundary",
-    "shear_construct", "vk_membership", "winding_number",
+    "rotated_counterexample_suite", "sample_boundary", "shear_construct",
+    "vk_membership", "winding_number",
 ]

@@ -13,8 +13,10 @@ closed-form derivatives:
     H_-1(z)     = z/(1+z)                         half-plane Re w < 1/2
     L_lam(z)    = log((1-conj(lam) z)/(1-lam z)) / (2i Im lam)   strip map
     koebe(z)    = z/(1-z)^2                       plane minus slit (-inf,-1/4]
-    mobius_c(z) = z/(1-cz)                        rotated half-plane
     f0h, f0g    = (2z-z^2)/(2(1-z)^2), z^2/(2(1-z)^2)
+
+The rotated half-plane map z/(1-cz) = conj(c) H(cz) is no separate entry:
+it is :func:`rotate_analytic` of H by c (spec ``H@rot:re=..,im=..``).
 
 ``L_lam`` uses the principal logarithm; its argument is a Mobius map of the
 disk into a half-plane whose boundary line passes through 0 and whose
@@ -73,28 +75,25 @@ class AnalyticFunction:
     def d2(self, z):
         return self.d2_fn(z)
 
-    def __call__(self, z):
-        return self.value_fn(z)
-
 
 @dataclass(frozen=True)
 class CatalogId:
-    """Identifier of a catalog entry; `param` is lam for L_LAMBDA, c for MOBIUS."""
+    """Identifier of a catalog entry; `param` is lam for L_LAMBDA."""
 
     kind: str
     param: complex | None = None
 
-    KINDS = ("H", "H_ROT_MINUS1", "L_LAMBDA", "KOEBE", "MOBIUS_HALFPLANE",
-             "IDENTITY", "F0_H_PART", "F0_G_PART")
+    KINDS = ("H", "H_ROT_MINUS1", "L_LAMBDA", "KOEBE", "IDENTITY", "F0_H_PART",
+             "F0_G_PART")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown catalog kind {self.kind!r}")
-        if self.kind in ("L_LAMBDA", "MOBIUS_HALFPLANE"):
+        if self.kind == "L_LAMBDA":
             if self.param is None:
                 raise ValueError(f"{self.kind} requires a unimodular parameter")
-            p = require_unimodular(self.param, "lambda" if self.kind == "L_LAMBDA" else "c")
-            if self.kind == "L_LAMBDA" and min(abs(p - 1.0), abs(p + 1.0)) < LAMBDA_EXCLUSION:
+            p = require_unimodular(self.param, "lambda")
+            if min(abs(p - 1.0), abs(p + 1.0)) < LAMBDA_EXCLUSION:
                 raise ValueError("L_LAMBDA requires lambda away from {-1, 1}")
             object.__setattr__(self, "param", p)
         elif self.param is not None:
@@ -104,8 +103,6 @@ class CatalogId:
     def text(self) -> str:
         if self.kind == "L_LAMBDA":
             return f"Llambda:re={_fmt(self.param.real)},im={_fmt(self.param.imag)}"
-        if self.kind == "MOBIUS_HALFPLANE":
-            return f"mobius:re={_fmt(self.param.real)},im={_fmt(self.param.imag)}"
         return {"H": "H", "H_ROT_MINUS1": "H-1", "KOEBE": "koebe",
                 "IDENTITY": "identity", "F0_H_PART": "f0h", "F0_G_PART": "f0g"}[self.kind]
 
@@ -141,12 +138,6 @@ def _l_lambda_channels(lam: complex):
              / ((1.0 - lam * z) * (1.0 - lamc * z)) ** 2))
 
 
-def _mobius_channels(c: complex):
-    return ((lambda z: z / (1.0 - c * z)),
-            (lambda z: 1.0 / (1.0 - c * z) ** 2),
-            (lambda z: 2.0 * c / (1.0 - c * z) ** 3))
-
-
 def catalog(cid: Union[CatalogId, str], param: complex | None = None) -> AnalyticFunction:
     """Build a catalog entry from a CatalogId (or bare kind string + param)."""
     if isinstance(cid, str):
@@ -155,8 +146,6 @@ def catalog(cid: Union[CatalogId, str], param: complex | None = None) -> Analyti
         return AnalyticFunction(cid.text, *_CATALOG_CHANNELS[cid.kind])
     if cid.kind == "L_LAMBDA":
         return AnalyticFunction(cid.text, *_l_lambda_channels(cid.param))
-    if cid.kind == "MOBIUS_HALFPLANE":
-        return AnalyticFunction(cid.text, *_mobius_channels(cid.param))
     raise ValueError(f"unhandled catalog kind {cid.kind!r}")
 
 
@@ -241,17 +230,11 @@ class SchwarzFunction:
     value_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
 
-    def eval(self, z) -> Tuple:
-        return self.value_fn(z), self.d1_fn(z)
-
     def value(self, z):
         return self.value_fn(z)
 
     def d1(self, z):
         return self.d1_fn(z)
-
-    def __call__(self, z):
-        return self.value_fn(z)
 
 
 def _blaschke_channels(spec: BlaschkeOmega):

@@ -430,37 +430,6 @@ def rotated_counterexample_suite() -> dict:
     return {"suite": "rotated-counterexamples", "all_as_expected": ok, "cases": cases}
 
 
-def css_characterization_check(f: HarmonicMap, t_grid: Sequence[float],
-                               radii: Sequence[float] = DEFAULT_RADII) -> dict:
-    """Cross-validate full convexity against per-direction convexity.
-
-    At each radius the restricted map is convex exactly when every
-    combination h - e^{2it} g is convex in direction t, so a CONVEX verdict
-    coexisting with a failing direction is a hard inconsistency.  The
-    converse direction over a finite t-grid is only a coarseness note.
-    """
-    from .geometry import directional_convexity_check
-    from .shear import analytic_combination, harmonic_from_analytic
-
-    rows = []
-    inconsistencies = []
-    for r in radii:
-        _, rep = convexity_check_resolved(f, r)
-        directions = {}
-        for t in t_grid:
-            comb = harmonic_from_analytic(analytic_combination(f, t))
-            curve = sample_boundary(comb, r, TURNING_SAMPLES)
-            directions[repr(float(t))] = directional_convexity_check(curve, t).passed
-        failing = sorted(t for t, ok in directions.items() if not ok)
-        rows.append({"r": r, "verdict": rep.verdict, "directions": directions})
-        if rep.verdict == "CONVEX" and failing:
-            inconsistencies.append({"r": r, "failing_directions": failing})
-        if rep.verdict == "NON_CONVEX" and not failing:
-            rows[-1]["note"] = "no failing direction on this t-grid (grid coarseness)"
-    return {"map": f.label, "rows": rows, "inconsistencies": inconsistencies,
-            "consistent": not inconsistencies}
-
-
 # ---------------------------------------------------------------------------
 # Half-plane / strip identification
 # ---------------------------------------------------------------------------

@@ -15,13 +15,11 @@ can be stacked into one call.  Each component of each endpoint passes the
 acceptance test below on its own and is frozen at its own depth, so it is
 bit-for-bit what integrating that component alone gives.
 
-Convergence acceptance is ``|I_next - I| <= max(ABS_TOL + REL_TOL*|I|,
-1024*eps*|I|)``.  The relative terms matter near the boundary: at |z| = 0.999
-integrand antiderivatives reach 1e6 and an absolute 1e-12 target is below
-what float64 summation can represent.  The float floor 1024*eps (2.3e-13)
-exceeds REL_TOL, so it is the relative target actually applied: it wins over
-ABS_TOL + REL_TOL*|I| once |I| >~ 4.6, and REL_TOL only nudges the target
-for smaller |I|.
+Convergence acceptance is ``|I_next - I| <= max(ABS_TOL, 1024*eps*|I|)``:
+absolute 1e-12 for small |I|, and the float floor 1024*eps (2.3e-13)
+relative once |I| >~ 4.4.  The relative term matters near the boundary: at
+|z| = 0.999 integrand antiderivatives reach 1e6 and an absolute 1e-12 target
+is below what float64 summation can represent.
 
 Points sampled densely along a circle get F by chaining instead (the
 winding curves of ``probe``; see ``HarmonicMap.parts_on_circle`` for where
@@ -46,7 +44,6 @@ from typing import Callable
 import numpy as np
 
 ABS_TOL = 1e-12
-REL_TOL = 1e-14
 ORDER = 15                      # Gauss-Legendre nodes per panel
 MAX_DEPTH = 40                  # grading depth at which refinement gives up
 CHORD_LEVELS = 10               # bisection levels at which a chord step gives up
@@ -68,7 +65,7 @@ def _panel_nodes(t0: float, t1: float):
 def _converged(new, old, scale) -> np.ndarray:
     """The acceptance test of both routes: |new - old| against a target
     relative to ``scale``."""
-    return np.abs(new - old) <= np.maximum(ABS_TOL + REL_TOL * scale, _FLOAT_FLOOR * scale)
+    return np.abs(new - old) <= np.maximum(ABS_TOL, _FLOAT_FLOOR * scale)
 
 
 def _batch_panel(fprime, z, t0: float, t1: float) -> np.ndarray:

@@ -17,6 +17,10 @@ pair: h and g share one quadrature, and tangents one evaluation of the pair.
 Dense samples along a circle (the winding curves) get h and g by chaining
 the pair along chords between neighbouring samples from radial anchors
 (:meth:`HarmonicMap.parts_on_circle`); every scattered point stays radial.
+
+The rotation conj(xi) f(xi z) of the shear of (phi, omega, eta) is the shear
+of (conj(xi) phi(xi z), xi^2 omega(xi z), eta conj(xi)^2), so a rotated map
+is built as the shear of the rotated datum.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ class HarmonicMap:
 
     h: AnalyticFunction
     g: AnalyticFunction
-    provenance: Optional[ShearSystem] = None
     label: str = field(default="")
     d1_pair: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -194,78 +197,13 @@ def shear_construct(sys: ShearSystem) -> HarmonicMap:
 
     h = antiderivative_function(f"h[{sys.label}]", hp, hpp)
     g = antiderivative_function(f"g[{sys.label}]", lambda z: hgp(z)[1], gpp)
-    return HarmonicMap(h, g, provenance=sys, label=sys.label, d1_pair=hgp)
+    return HarmonicMap(h, g, label=sys.label, d1_pair=hgp)
 
 
 def harmonic_from_analytic(phi: AnalyticFunction) -> HarmonicMap:
     """Wrap an analytic function as the harmonic map h = phi, g = 0."""
     zero = AnalyticFunction("0", lambda z: z * 0, lambda z: z * 0, lambda z: z * 0)
     return HarmonicMap(phi, zero, label=phi.label)
-
-
-def rotate_harmonic(f: HarmonicMap, xi: complex) -> HarmonicMap:
-    """Rotation f_xi(z) = conj(xi) f(xi z).
-
-    Canonical parts transform as H(z) = conj(xi) h(xi z), G(z) = xi g(xi z);
-    when f came from a shear (phi, omega0, eta) the result solves the system
-    with datum (phi_xi, z -> xi^2 omega0(xi z), eta * conj(xi)^2).
-    """
-    xi = require_unimodular(xi, "xi")
-    xib = np.conj(xi)
-    h, g = f.h, f.g
-    label = f"rot({f.label},xi={xi.real!r}{xi.imag:+}j)"
-    h_rot = AnalyticFunction(f"rot.h[{label}]",
-                             lambda z: xib * h.value_fn(xi * z),
-                             lambda z: h.d1_fn(xi * z),
-                             lambda z: xi * h.d2_fn(xi * z))
-    g_rot = AnalyticFunction(f"rot.g[{label}]",
-                             lambda z: xi * g.value_fn(xi * z),
-                             lambda z: xi ** 2 * g.d1_fn(xi * z),
-                             lambda z: xi ** 3 * g.d2_fn(xi * z))
-    prov = None
-    if f.provenance is not None:
-        from .functions import rotate_analytic
-        p = f.provenance
-        om_v, om_d1 = p.omega.value_fn, p.omega.d1_fn
-        omega_rot = SchwarzFunction(
-            f"rot({p.omega.label},xi={xi.real!r}{xi.imag:+}j)", p.omega.spec,
-            lambda z: xi ** 2 * om_v(xi * z),
-            lambda z: xi ** 3 * om_d1(xi * z))
-        prov = ShearSystem(rotate_analytic(p.phi, xi), omega_rot, p.eta * xib ** 2)
-    return HarmonicMap(h_rot, g_rot, provenance=prov, label=label)
-
-
-def normalize(f: HarmonicMap) -> HarmonicMap:
-    """Renormalize an arbitrary orientation-preserving map into S_H^0.
-
-    First F = (f - f(0))/h'(0), then the affine shear-out of the residual
-    mixing tau(w) = (w - conj(a) conj(w))/(1 - |a|^2) with a = G'(0); on
-    canonical parts both steps are exact affine combinations.
-    """
-    z0 = 0.0 + 0.0j
-    h0, hp0 = complex(f.h.value(z0)), complex(f.h.d1(z0))
-    g0, gp0 = complex(f.g.value(z0)), complex(f.g.d1(z0))
-    if hp0 == 0:
-        raise ValueError("normalize requires h'(0) != 0")
-    a = gp0 / np.conj(hp0)
-    if abs(a) >= 1.0:
-        raise ValueError(f"map is not orientation-preserving at 0 (|a| = {abs(a)!r})")
-    den = 1.0 - abs(a) ** 2
-    ab = np.conj(a)
-    c, cb = hp0, np.conj(hp0)
-    h, g = f.h, f.g
-    label = f"normalized({f.label})"
-    h_new = AnalyticFunction(
-        f"h[{label}]",
-        lambda z: ((h.value_fn(z) - h0) / c - ab * (g.value_fn(z) - g0) / cb) / den,
-        lambda z: (h.d1_fn(z) / c - ab * g.d1_fn(z) / cb) / den,
-        lambda z: (h.d2_fn(z) / c - ab * g.d2_fn(z) / cb) / den)
-    g_new = AnalyticFunction(
-        f"g[{label}]",
-        lambda z: ((g.value_fn(z) - g0) / cb - a * (h.value_fn(z) - h0) / c) / den,
-        lambda z: (g.d1_fn(z) / cb - a * h.d1_fn(z) / c) / den,
-        lambda z: (g.d2_fn(z) / cb - a * h.d2_fn(z) / c) / den)
-    return HarmonicMap(h_new, g_new, label=label)
 
 
 def analytic_combination(f: HarmonicMap, t: float) -> AnalyticFunction:

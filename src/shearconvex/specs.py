@@ -4,9 +4,9 @@ These little grammars are the CLI surface and the serialization format for
 probe reports, so every generated object (including seeded random Blaschke
 products) round-trips through an explicit text form.
 
-    phi:    H | H-1 | koebe | identity | f0h | f0g
-            | Llambda:re=..,im=..  | mobius:re=..,im=..
-            optionally suffixed with @rot:re=..,im=..
+    phi:    H | H-1 | koebe | identity | f0h | f0g | Llambda:re=..,im=..
+            optionally suffixed with @rot:re=..,im=..  (H@rot:re=..,im=..
+            is the rotated half-plane map z/(1 - cz), c = re + i im)
     omega:  zero
             | monomial:lam_re=..,lam_im=..,N=..        (defaults 1, 0, 1)
             | blaschke:seed=..,deg=..,scale=..          (seeded generator)
@@ -15,11 +15,14 @@ products) round-trips through an explicit text form.
     family: mixed:phases=..,nmax=..,count=..,deg=..,seed=..
             | monomial-grid:phases=..,nmax=..
             | blaschke-random:count=..,deg=..,seed=..
-            | explicit:<omega>[+<omega>..]
+            | explicit:<omega>[+<omega>..]   (split only at a '+' that starts
+                                             an omega, so Blaschke zeros such
+                                             as -0.6+0.3j stay whole)
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 import numpy as np
@@ -53,8 +56,7 @@ def _complex_kv(kv: dict, re_key: str, im_key: str, default=None) -> complex:
     return complex(float(kv.get(re_key, 0.0)), float(kv.get(im_key, 0.0)))
 
 
-_PLAIN_PHI = {"H": "H", "H-1": "H_ROT_MINUS1", "koebe": "KOEBE",
-              "identity": "IDENTITY", "f0h": "F0_H_PART", "f0g": "F0_G_PART"}
+_PLAIN_PHI = {CatalogId(k).text: k for k in CatalogId.KINDS if k != "L_LAMBDA"}
 
 
 def parse_phi(spec: str) -> AnalyticFunction:
@@ -69,9 +71,6 @@ def parse_phi(spec: str) -> AnalyticFunction:
     elif spec.startswith("Llambda:"):
         kv = _kv(spec[len("Llambda:"):], "Llambda")
         phi = catalog(CatalogId("L_LAMBDA", _complex_kv(kv, "re", "im")))
-    elif spec.startswith("mobius:"):
-        kv = _kv(spec[len("mobius:"):], "mobius")
-        phi = catalog(CatalogId("MOBIUS_HALFPLANE", _complex_kv(kv, "re", "im")))
     else:
         raise SpecError(f"unknown phi spec {spec!r}")
     if rot is not None:
@@ -131,11 +130,15 @@ def format_eta(eta: complex) -> str:
     return f"{eta.real!r},{eta.imag!r}"
 
 
+# a '+' between omegas: the next text starts an omega head, another '+' or the end
+_OMEGA_SEP = re.compile(r"\+(?=\s*(?:zero|monomial|blaschke|\+|$))")
+
+
 def family_from_spec(spec: str) -> List[SchwarzFunction]:
     """Expand a family spec into concrete dilatations, sorted by text form."""
     spec = spec.strip()
     if spec.startswith("explicit:"):
-        omegas = [parse_omega(s) for s in spec[len("explicit:"):].split("+") if s]
+        omegas = [parse_omega(s) for s in _OMEGA_SEP.split(spec[len("explicit:"):]) if s]
         if not omegas:
             raise SpecError("explicit family is empty")
         return sorted(omegas, key=lambda w: w.spec.text)

@@ -6,9 +6,9 @@ neighbouring circle samples (``shearconvex.quadrature``).  The scalar route
 here integrates one straight segment at a time with Gauss-Legendre panels
 and adaptive bisection, the error estimated from the whole-panel vs.
 split-panel difference, and shares no code with the package's, so agreement
-between the two is evidence for both.  It uses the package's tolerances and
-panel order and raises the package's ``ToleranceNotMet`` when bisection
-stalls.
+between the two is evidence for both.  It uses the package's ABS_TOL and
+panel order, keeps its own REL_TOL for the tolerance it hands each half,
+and raises the package's ``ToleranceNotMet`` when bisection stalls.
 
 ``RadialWindingCurves`` is the winding-curve builder with every sample placed
 radially, the reference for the package's chained positions.
@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from shearconvex.probe import WINDING_SAMPLES, _WindingCurves
-from shearconvex.quadrature import (ABS_TOL, MAX_DEPTH, ORDER, REL_TOL,
-                                    ToleranceNotMet)
+from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
 
+REL_TOL = 1e-14                 # relative floor of the recursive halving of tol
 _FLOAT_FLOOR = 1024 * np.finfo(float).eps
 _X, _W = np.polynomial.legendre.leggauss(ORDER)
 

@@ -1,5 +1,7 @@
 """Circle samples chained along chords against the radial route."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from shearconvex.probe import (_WindingCurves, _candidate_midpoints, _extension_
                                _window_anchors)
 from shearconvex.quadrature import chord_increments
 from shearconvex.shear import (CHAIN_STRIDE, ShearSystem, harmonic_from_analytic,
-                               rotate_harmonic, shear_construct)
+                               shear_construct)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_phi
 
 from oracles import RadialWindingCurves
@@ -72,11 +74,11 @@ def test_grids_of_any_length_chain(shape):
 
 @pytest.mark.parametrize("r", [0.999, 0.9999])
 def test_maps_without_a_pair_chain_their_d1_channels(r):
-    # Koebe's closed form, and the rotated f0 whose h and g integrate apart,
-    # against their chained d1 channels
+    # Koebe's closed form, and f0 without its pair, so that its h and g (g
+    # nonzero) integrate apart, against their chained d1 channels
     theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     for f in (harmonic_from_analytic(catalog(CatalogId("KOEBE"))),
-              rotate_harmonic(shear_construct(SYSTEMS["f0"]), 1j)):
+              dataclasses.replace(shear_construct(SYSTEMS["f0"]), d1_pair=None)):
         assert f.d1_pair is None
         assert _drift(f, r, theta, f.parts_on_circle(r, theta)) <= DRIFT
 

@@ -8,6 +8,7 @@ from shearconvex.cli import main
 from shearconvex.geometry import verdict_from_increments
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.render import render_curve_svg
+from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
 
 
 def run(capsys, *argv):
@@ -88,6 +89,16 @@ def test_negative_eta_as_a_separate_word(capsys):
     assert code == 1 and "expected one argument" in err
 
 
+def test_probe_replays_an_explicit_blaschke_key(capsys):
+    # a seed-7 key whose zeros carry '+' signs, given back as an explicit family
+    key = next(w.spec.text for w in family_from_spec(DEFAULT_FAMILY)
+               if w.spec.text.startswith("blaschke") and "+" in w.spec.text)
+    code, out, _ = run(capsys, "probe", "--phi", "H", "--eta=-1,0",
+                       "--family", "explicit:" + key, "--radii", "0.9")
+    assert code == 0
+    assert list(json.loads(out)["per_omega"]) == [key]
+
+
 def test_probe_seed_echo(capsys):
     code, out, _ = run(capsys, "probe", "--phi", "H", "--eta", "theta=1.5707963267948966",
                        "--family", "blaschke-random:count=2,deg=1,seed=7",
@@ -116,6 +127,8 @@ def test_malformed_spec_exits_one(capsys):
     code, _, err = run(capsys, "vk", "--phi", "nonsense", "--k", "2")
     assert code == 1
     assert "error" in err
+    code, _, err = run(capsys, "convexity", "--phi", "mobius:re=0,im=1")
+    assert code == 1 and "mobius" in err
 
 
 def test_unknown_case_exits_one(capsys):

@@ -8,8 +8,7 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
 
 CATALOG_IDS = [CatalogId("H"), CatalogId("H_ROT_MINUS1"), CatalogId("KOEBE"),
                CatalogId("IDENTITY"), CatalogId("F0_H_PART"), CatalogId("F0_G_PART"),
-               CatalogId("L_LAMBDA", 1j), CatalogId("L_LAMBDA", np.exp(1j * np.pi / 3)),
-               CatalogId("MOBIUS_HALFPLANE", -1.0)]
+               CatalogId("L_LAMBDA", 1j), CatalogId("L_LAMBDA", np.exp(1j * np.pi / 3))]
 
 S_NORMALIZED = [c for c in CATALOG_IDS if c.kind != "F0_G_PART"]
 
@@ -136,8 +135,6 @@ def test_parameter_validation():
         CatalogId("L_LAMBDA", 1.0)           # excluded lambda
     with pytest.raises(ValueError):
         CatalogId("L_LAMBDA", 1.5)           # not unimodular
-    with pytest.raises(ValueError):
-        CatalogId("MOBIUS_HALFPLANE", 0.5)
     with pytest.raises(ValueError):
         MonomialOmega(0.5 + 0.5j, 1)
     with pytest.raises(ValueError):

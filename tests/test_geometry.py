@@ -8,8 +8,8 @@ from shearconvex.geometry import (convexity_check,
                                   parabola_residual, sample_boundary,
                                   turning_increments, verdict_from_increments,
                                   winding_number)
-from shearconvex.shear import (ShearSystem, harmonic_from_analytic,
-                               rotate_harmonic, shear_construct)
+from shearconvex.shear import ShearSystem, harmonic_from_analytic, shear_construct
+from shearconvex.specs import parse_phi
 
 IDENTITY = harmonic_from_analytic(catalog(CatalogId("IDENTITY")))
 H_MAP = harmonic_from_analytic(catalog(CatalogId("H")))
@@ -32,7 +32,7 @@ def test_identity_curve_is_a_circle():
     assert rep.total_turning == pytest.approx(2 * np.pi, abs=1e-9)
 
 
-def test_mobius_image_is_convex():
+def test_halfplane_image_is_convex():
     rep = convexity_check(sample_boundary(H_MAP, 0.9, 4096))
     assert rep.verdict == "CONVEX"
 
@@ -133,7 +133,10 @@ def test_parabola_residual_sanity_far_from_parabola():
 def test_rotation_equivariance(f0):
     n = 4096
     c = sample_boundary(f0, 0.9, n)
-    c_rot = sample_boundary(rotate_harmonic(f0, 1j), 0.9, n)
+    # conj(xi) f0(xi z) at xi = i is the shear of (H@rot:i, -i z, -1)
+    f0_rot = shear_construct(ShearSystem(parse_phi("H@rot:re=0.0,im=1.0"),
+                                         make_schwarz(MonomialOmega(-1j, 1)), -1.0))
+    c_rot = sample_boundary(f0_rot, 0.9, n)
     # theta shift by arg(xi) = pi/2 is n/4 samples on this grid
     shift = n // 4
     assert np.abs(c_rot.gamma - np.conj(1j) * np.roll(c.gamma, -shift)).max() < 1e-9

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearconvex.functions import CatalogId, catalog
-from shearconvex.quadrature import (ABS_TOL, ToleranceNotMet, antiderivative_many,
-                                    chord_increments)
+from shearconvex.quadrature import (ABS_TOL, ToleranceNotMet, _converged,
+                                    antiderivative_many, chord_increments)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
 
 from oracles import antiderivative, integrate_segment
@@ -182,3 +182,12 @@ def test_zero_length_chords_add_exactly_nothing():
     zs = np.array([[0.5, 0.5, 0.5j, 0.5j]])
     incr, ok = chord_increments(H.d1, zs, H.value(zs[:, 0]))
     assert ok.all() and incr[0, 0] == 0 and incr[0, 2] == 0 and incr[0, 1] != 0
+
+
+def test_acceptance_target_is_abs_tol_or_the_float_floor():
+    # |new - old| <= max(ABS_TOL, 1024 eps |I|): no relative term on top of ABS_TOL
+    assert not _converged(np.array([1.005e-12]), np.array([0.0]), 1.0)
+    for scale in (1.0, 1e3):
+        target = max(ABS_TOL, 1024 * np.finfo(float).eps * scale)
+        assert _converged(np.array([target]), np.array([0.0]), scale)
+        assert not _converged(np.array([np.nextafter(target, 1.0)]), np.array([0.0]), scale)

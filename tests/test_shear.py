@@ -10,9 +10,7 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    rotate_analytic)
 from shearconvex.quadrature import ABS_TOL, ORDER, antiderivative_many
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
-from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
-                               harmonic_from_analytic, normalize,
-                               rotate_harmonic, shear_construct)
+from shearconvex.shear import ShearSystem, analytic_combination, shear_construct
 
 H = catalog(CatalogId("H"))
 OM_Z = make_schwarz(MonomialOmega(1.0, 1))
@@ -141,70 +139,24 @@ def test_second_derivatives_match_finite_differences(f0, disk_grid):
         assert (np.abs(fd - d2) / np.maximum(np.abs(d2), 1e-9)).max() < 1e-6
 
 
-def test_rotate_harmonic_identity_and_involution(f0, disk_grid):
-    same = rotate_harmonic(f0, 1.0)
-    assert np.abs(same.map_points(disk_grid) - f0.map_points(disk_grid)).max() < 1e-13
-    xi = np.exp(1j * 0.8)
-    back = rotate_harmonic(rotate_harmonic(f0, xi), np.conj(xi))
-    assert np.abs(back.map_points(disk_grid) - f0.map_points(disk_grid)).max() < 1e-10
-
-
 def test_rotation_shear_compatibility(disk_grid):
-    # rotating the shear of (phi, omega0, eta) solves the system with datum
-    # (phi_xi, z -> xi^2 omega0(xi z), eta conj(xi)^2)
+    # the rotation conj(xi) f(xi z) of the shear of (phi, omega0, eta) is the
+    # shear of the datum (phi_xi, z -> xi^2 omega0(xi z), eta conj(xi)^2)
     xi = complex(np.exp(1j * np.pi / 5))
     omega0 = make_schwarz(MonomialOmega(np.exp(1j * 0.3), 2))
     eta = complex(np.exp(1j * 1.9))
     f = shear_construct(ShearSystem(H, omega0, eta))
-    rot = rotate_harmonic(f, xi)
 
     phi_xi = rotate_analytic(H, xi)
     lam_rot = xi ** 2 * omega0.spec.lam * xi ** omega0.spec.n
     omega_rot = make_schwarz(MonomialOmega(lam_rot, omega0.spec.n))
+    assert np.abs(omega_rot.value(disk_grid)
+                  - xi ** 2 * omega0.value(xi * disk_grid)).max() < 1e-14
     direct = shear_construct(ShearSystem(phi_xi, omega_rot, eta * np.conj(xi) ** 2))
 
     tol = 100 * ABS_TOL * 10
-    assert np.abs(rot.map_points(disk_grid) - direct.map_points(disk_grid)).max() < tol
-    # the transformed provenance attached by rotate_harmonic agrees too
-    prov = rot.provenance
-    assert prov is not None
-    assert abs(prov.eta - eta * np.conj(xi) ** 2) < 1e-12
-    z = disk_grid[:8]
-    assert np.abs(prov.omega.value(z) - omega_rot.value(z)).max() < 1e-12
-
-
-def test_normalize_is_identity_on_normalized_maps(f0, disk_grid):
-    g = normalize(f0)
-    assert np.abs(g.map_points(disk_grid) - f0.map_points(disk_grid)).max() < 1e-10
-
-
-def test_normalize_rescales():
-    from shearconvex.functions import AnalyticFunction
-    two_h = AnalyticFunction("2H", lambda z: 2 * H.value(z),
-                             lambda z: 2 * H.d1(z), lambda z: 2 * H.d2(z))
-    f = normalize(harmonic_from_analytic(two_h))
-    z = 0.5 + 0.2j
-    assert f.map_points(z) == pytest.approx(H.value(z), abs=1e-13)
-
-
-def test_normalize_two_step_formula():
-    # h = z, g = z/2 gives a = 1/2; the two-step map lands on (z, 0)
-    from shearconvex.functions import AnalyticFunction
-    hz = AnalyticFunction("z", lambda z: z + 0j, lambda z: 1.0 + z * 0, lambda z: z * 0)
-    gz = AnalyticFunction("z/2", lambda z: z / 2, lambda z: 0.5 + z * 0, lambda z: z * 0)
-    f = normalize(HarmonicMap(hz, gz))
-    z = 0.3 - 0.4j
-    assert f.h.value(z) == pytest.approx(z, abs=1e-12)
-    assert abs(f.g.value(z)) < 1e-12
-    assert f.h.d1(0.0 + 0.0j) == pytest.approx(1.0, abs=1e-12)
-    assert abs(f.g.d1(0.0 + 0.0j)) < 1e-12
-
-
-def test_normalize_rejects_degenerate_maps():
-    from shearconvex.functions import AnalyticFunction
-    hz = AnalyticFunction("z", lambda z: z + 0j, lambda z: 1.0 + z * 0, lambda z: z * 0)
-    with pytest.raises(ValueError):
-        normalize(HarmonicMap(hz, hz))   # |a| = 1
+    rotated = np.conj(xi) * f.map_points(xi * disk_grid)
+    assert np.abs(rotated - direct.map_points(disk_grid)).max() < tol
 
 
 def test_analytic_combination(f0, disk_grid):

@@ -60,6 +60,8 @@ def test_bad_specs_raise():
     with pytest.raises(SpecError):
         parse_phi("nonsense")
     with pytest.raises(SpecError):
+        parse_phi("mobius:re=0,im=1")       # the rotated half-plane is H@rot
+    with pytest.raises(SpecError):
         parse_omega("monomial:lam_re")
     with pytest.raises(SpecError):
         parse_omega("blaschke-explicit:phase=1")
@@ -79,3 +81,32 @@ def test_blaschke_draws_are_pinned():
         "-0.2778096179001788-0.07346155301622305j;"
         "0.4675421742512059-0.48955975994511725j,phase=2.269889027609814,"
         "scale_re=0.7990920336036065,scale_im=0.0")
+
+
+def test_explicit_family_replays_every_seed7_key():
+    # probe reports key per_omega by text; each key, alone and all joined
+    # with '+', must come back as the same omega, Blaschke zeros such as
+    # -0.648+0.322j included
+    texts = [w.spec.text for w in family_from_spec(DEFAULT_FAMILY)]
+    assert len(texts) == 74 and sum("+" in t for t in texts) == 34
+    for t in texts:
+        assert [w.spec.text for w in family_from_spec("explicit:" + t)] == [t]
+    joined = family_from_spec("explicit:" + "+".join(texts))
+    assert [w.spec.text for w in joined] == texts
+    # separators next to empty pieces are still skipped
+    assert ([w.spec.text for w in family_from_spec("explicit:+zero++monomial:N=1+")]
+            == [w.spec.text for w in family_from_spec("explicit:monomial:N=1+zero")])
+
+
+@pytest.mark.parametrize("angle", [np.pi, np.pi / 2, np.pi / 3, 1.3231])
+def test_rotated_h_is_the_halfplane_map(angle, disk_grid):
+    # H@rot:c is conj(c) H(cz) = z/(1 - cz), the rotated half-plane map
+    c = complex(np.exp(1j * angle))
+    phi = parse_phi(f"H@rot:re={c.real!r},im={c.imag!r}")
+    z = disk_grid
+    refs = (z / (1 - c * z), 1 / (1 - c * z) ** 2, 2 * c / (1 - c * z) ** 3)
+    for got, ref in zip(phi.eval(z), refs):
+        assert (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
+    if angle == np.pi:
+        for got, ref in zip(phi.eval(z), parse_phi("H-1").eval(z)):
+            assert (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
