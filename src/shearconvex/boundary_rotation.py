@@ -8,21 +8,23 @@ is its center value 1, forcing the value 2.
 
 Trapezoid sums on uniform angles are spectrally accurate but alias the
 Fourier tail: with n points the error behaves like 4 r^n, so n grows with r
-(32768 points at r = 0.999 bring the alias below 1e-9).
+(32768 points at r = 0.999 bring the alias below 1e-9); a radius needing
+more than ``MAX_ANGLE_SAMPLES`` (r > 0.999994) is refused, not allocated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .functions import AnalyticFunction, require_unimodular
-from .shear import antiderivative_function
+from .functions import AnalyticFunction, MonomialOmega, make_schwarz
+from .shear import ShearSystem, analytic_combination, shear_construct
 from .specs import DEFAULT_RADII
 
 MIN_ANGLE_SAMPLES = 8192
+MAX_ANGLE_SAMPLES = 1 << 22     # about 64 MiB per complex array of angles
 ALIAS_TARGET = 2.5e-10
 VK_TOL = 1e-6                   # slack of the V_k membership verdict
 
@@ -43,6 +45,9 @@ def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
     if not 0.0 < r < 1.0:
         raise ValueError("radius must satisfy 0 < r < 1")
     n = _angle_count(r)
+    if n > MAX_ANGLE_SAMPLES:
+        raise ValueError(f"radius r = {r!r} needs {n} angles, above the cap of "
+                         f"{MAX_ANGLE_SAMPLES}; use a radius of at most 0.99999")
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     z = r * np.exp(1j * theta)
     d1, d2 = phi.d1(z), phi.d2(z)      # the value channel may be quadrature: never read it
@@ -55,27 +60,15 @@ def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
 def brannan_transform(phi: AnalyticFunction, lam: complex, n_power: int) -> AnalyticFunction:
     """psi with psi' = phi' (1 - lam z^N)/(1 + lam z^N), psi(0) = 0.
 
-    For phi in V_k the transform lands in V_{k+2N}; with phi = H, lam = -1,
+    psi is h - g for the shear of (phi, lam z^N, eta = -1), whose h' is
+    phi'/(1 + lam z^N) and g' = lam z^N h', so phi must be normalized.  For
+    phi in V_k the transform lands in V_{k+2N}; with phi = H, lam = -1,
     N = 1 the factor is (1+z)/(1-z) and psi is the Koebe function.
     """
-    lam = require_unimodular(lam, "lambda")
-    N = int(n_power)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    phi_d1, phi_d2 = phi.d1_fn, phi.d2_fn
-
-    def d1(z):
-        u = lam * z ** N
-        return phi_d1(z) * (1.0 - u) / (1.0 + u)
-
-    def d2(z):
-        u = lam * z ** N
-        rho = (1.0 - u) / (1.0 + u)
-        rho1 = -2.0 * lam * N * z ** (N - 1) / (1.0 + u) ** 2
-        return phi_d2(z) * rho + phi_d1(z) * rho1
-
-    label = f"brannan({phi.label},lam={lam.real!r}{lam.imag:+}j,N={N})"
-    return antiderivative_function(label, d1, d2)
+    omega = make_schwarz(MonomialOmega(lam, n_power))
+    lam, N = omega.spec.lam, omega.spec.n
+    psi = analytic_combination(shear_construct(ShearSystem(phi, omega, -1.0)), 0.0)
+    return replace(psi, label=f"brannan({phi.label},lam={lam.real!r}{lam.imag:+}j,N={N})")
 
 
 def vk_membership(phi: AnalyticFunction, k: float,

@@ -134,12 +134,17 @@ def cmd_convexity(args) -> int:
     return 0
 
 
+def _with_seed(family: str, seed: int) -> str:
+    """``family`` with its seed field set to ``seed`` (any old one dropped)."""
+    head, _, body = family.strip().partition(":")
+    if head not in ("mixed", "blaschke-random"):
+        raise SpecError(f"--seed needs a mixed: or blaschke-random: family, not {family!r}")
+    fields = [f for f in body.split(",") if f and f.split("=", 1)[0].strip() != "seed"]
+    return f"{head}:{','.join(fields + [f'seed={seed}'])}"
+
+
 def cmd_probe(args) -> int:
-    family = args.family
-    if args.seed is not None and "seed=" in family:
-        head, _, tail = family.partition("seed=")
-        rest = tail.split(",", 1)
-        family = head + f"seed={args.seed}" + ("," + rest[1] if len(rest) > 1 else "")
+    family = args.family if args.seed is None else _with_seed(args.family, args.seed)
     cfg = ProbeConfig(phi_spec=args.phi, eta=parse_eta(args.eta), family_spec=family,
                       radii=parse_radii(args.radii))
     rep = probe_admissibility(cfg)

@@ -54,15 +54,16 @@ def _extension_radii(r_top: float) -> Tuple[float, float]:
 class _WindingCurves:
     """Adaptively refined image-curve samples per radius, shared across queries.
 
-    Positions come from ``HarmonicMap.parts_on_circle``: (h, g) chained along
+    Positions come from ``HarmonicMap.parts_on_circle``: h chained along
     chords between neighbouring samples from radial anchors (every
     ``CHAIN_STRIDE``-th sample, and wherever a chord does not converge or a
     pole's excursion ends), which agrees with the radial route to about
-    1e-11 relative; the winding is an integer, so that moves no verdict.
-    Each radius caches its (h, g), the curve and the chord lengths between
-    neighbours.  Refinements accumulate: the new samples inside a bad step
-    are chained from its left end, and once a thin pocket forced extra
-    samples at some radius, later queries reuse them.
+    1e-11 relative, and g solved from h; the winding is an integer, so that
+    moves no verdict.  Each radius caches its (h, g), the curve and the
+    chord lengths between neighbours.  Refinements accumulate: the new
+    samples inside a bad step are chained from the h at its left end, and
+    once a thin pocket forced extra samples at some radius, later queries
+    reuse them.
     """
 
     def __init__(self, f: HarmonicMap):
@@ -87,7 +88,7 @@ class _WindingCurves:
         hg = self._curves[r][2]
         widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
         steps = theta[bad, None] + widths[bad, None] * (np.arange(8) / 8.0)[None, :]
-        new_hg = self.f.parts_on_circle(r, steps, start=hg[:, bad])[:, :, 1:]
+        new_hg = self.f.parts_on_circle(r, steps, start=hg[0, bad])[:, :, 1:]
         theta = np.concatenate([theta, (steps[:, 1:] % (2.0 * np.pi)).ravel()])
         hg = np.concatenate([hg, new_hg.reshape(2, -1)], axis=1)
         order = np.argsort(theta)

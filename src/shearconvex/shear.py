@@ -1,8 +1,10 @@
 """Shear construction: solve h - eta*g = phi, g'/h' = omega, h(0) = g(0) = 0.
 
 Eliminating g' gives h' = phi' / (1 - eta*omega); the denominator never
-vanishes on the disk because |eta*omega| < 1 there.  Values of h and g are
-recovered as radial antiderivatives; their first and second derivatives are
+vanishes on the disk because |eta*omega| < 1 there.  Values of h are radial
+antiderivatives of h' (h is phi itself when omega is zero), and g follows
+from the shear equation, g = conj(eta) (h - phi), with phi in closed form,
+so a shear integrates h alone.  First and second derivatives are
 closed-form:
 
     h'' = (phi''*(1 - eta*omega) + eta*omega'*phi') / (1 - eta*omega)^2
@@ -11,11 +13,11 @@ closed-form:
 
 so boundary tangents downstream never touch quadrature.
 
-h' and g' share phi' and omega, so a shear evaluates them as one stacked
-pair: h and g share one quadrature, and tangents one evaluation of the pair.
+h' and g' share phi' and omega, so tangents evaluate them as one stacked
+pair, from one phi' and one omega per point.
 
-Dense samples along a circle (the winding curves) get h and g by chaining
-the pair along chords between neighbouring samples from radial anchors
+Dense samples along a circle (the winding curves) get h by chaining h'
+along chords between neighbouring samples from radial anchors
 (:meth:`HarmonicMap.parts_on_circle`); every scattered point stays radial.
 
 The rotation conj(xi) f(xi z) of the shear of (phi, omega, eta) is the shear
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import AnalyticFunction, SchwarzFunction, require_unimodular
+from .functions import AnalyticFunction, SchwarzFunction, ZeroOmega, require_unimodular
 from .quadrature import antiderivative_many, chord_increments
 
 S_NORMALIZATION_TOL = 1e-10
@@ -58,37 +60,32 @@ class ShearSystem:
         return f"shear(phi={self.phi.label},omega={self.omega.label},eta={e.real!r}{e.imag:+}j)"
 
 
-def antiderivative_function(label: str, d1_fn: Callable, d2_fn: Callable) -> AnalyticFunction:
-    """AnalyticFunction whose value channel integrates d1_fn from the origin.
-
-    Every value goes through the batched radial quadrature; a scalar z
-    gives a scalar.
-    """
-    return AnalyticFunction(label, lambda z: antiderivative_many(d1_fn, z)[()], d1_fn, d2_fn)
-
-
 @dataclass(frozen=True)
 class HarmonicMap:
     """Harmonic f = h + conj(g) with analytic parts carrying derivatives.
 
     ``d1_pair``, when set, returns (h', g') stacked on a leading axis.
+    ``shear``, when set, is the datum the map solves: g is then read from h
+    as conj(eta) (h - phi), never integrated.
     """
 
     h: AnalyticFunction
     g: AnalyticFunction
     label: str = field(default="")
     d1_pair: Optional[Callable] = field(default=None, repr=False, compare=False)
+    shear: Optional[ShearSystem] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
             object.__setattr__(self, "label", f"{self.h.label}+conj({self.g.label})")
 
     def parts(self, zs):
-        """(h(zs), g(zs)); with ``d1_pair`` set, from one stacked quadrature."""
+        """(h(zs), g(zs)); a shear integrates h alone and solves for g."""
         zs = np.asarray(zs, dtype=complex)
-        if self.d1_pair is None:
-            return self.h.value(zs), self.g.value(zs)
-        return tuple(antiderivative_many(self.d1_pair, zs))
+        h = self.h.value(zs)
+        if self.shear is None:
+            return h, self.g.value(zs)
+        return h, _g_from_h(self.shear, zs, h)
 
     def map_points(self, zs) -> np.ndarray:
         """Vectorized image points f(zs)."""
@@ -102,18 +99,23 @@ class HarmonicMap:
         return tuple(self.d1_pair(zs))
 
     def parts_on_circle(self, r: float, theta, start=None) -> np.ndarray:
-        """(h, g) at r*e^{i theta}, stacked, chained along each row of theta.
+        """(h, g) at r*e^{i theta}, stacked: ``(2,) + theta.shape``.
 
-        ``theta`` ascends along its last axis; each row is chained on its own,
-        chord by chord (``chord_increments``), from radial anchors (``parts``)
-        placed at: the row's first point, unless ``start`` gives (h, g) there,
-        shaped (2, rows); every ``CHAIN_STRIDE``-th point; the end of a step
-        whose chord did not converge; and the end of a step larger than the
-        position it reaches or falling below the power of two the position
-        started in, so that a pole's excursion carries no absolute error into
-        the smaller positions after it.  Returns ``(2,) + theta.shape``.
+        A shear whose h is integrated chains h along each row of theta
+        (ascending along its last axis), chord by chord
+        (``chord_increments``), from radial anchors placed at: the row's
+        first point, unless ``start`` gives h there, shaped (rows,); every
+        ``CHAIN_STRIDE``-th point; the end of a step whose chord did not
+        converge; and the end of a step larger than the position it reaches
+        or falling below the power of two the position started in, so that
+        a pole's excursion carries no absolute error into the smaller
+        positions after it.  g is then solved from h.  Any other map, and a
+        shear with zero omega, is evaluated point by point.
         """
         theta = np.asarray(theta, dtype=float)
+        sh = self.shear
+        if sh is None or isinstance(sh.omega.spec, ZeroOmega):
+            return np.stack(self.parts(r * np.exp(1j * theta)))
         rows = theta.reshape(-1, theta.shape[-1])
         n, m = rows.shape
         width = min(CHAIN_STRIDE, m)
@@ -123,56 +125,65 @@ class HarmonicMap:
         z = r * np.exp(1j * rows.reshape(n * nb, width))
         head = np.zeros(z.shape, dtype=bool)
         head[:, 0] = True
-        vals = np.empty((2,) + z.shape, dtype=complex)
+        vals = np.empty(z.shape, dtype=complex)
         radial = head.copy()
         if start is not None:
             radial[::nb, 0] = False
-            vals[:, ::nb, 0] = start
+            vals[::nb, 0] = start
         if radial.any():
-            vals[:, radial] = self.parts(z[radial])
-        pair = self.d1_pair
-        if pair is None:
-            pair = lambda x: np.stack(self.derivatives(x))
-        incr, ok = chord_increments(pair, z, vals[:, :, 0])
-        out = np.cumsum(np.concatenate([vals[:, :, :1], incr], axis=-1), axis=-1)
+            vals[radial] = self.h.value(z[radial])
+        incr, ok = chord_increments(self.h.d1_fn, z, vals[:, 0])
+        h = np.cumsum(np.concatenate([vals[:, :1], incr], axis=1), axis=1)
         extra = np.zeros(z.shape, dtype=bool)
-        size = np.abs(out).max(axis=0)
+        size = np.abs(h)
         octave = np.floor(np.log2(np.maximum(size, 1.0)))
-        extra[:, 1:] = (~ok | (np.abs(incr).max(axis=0) > size[:, 1:])
+        extra[:, 1:] = (~ok | (np.abs(incr) > size[:, 1:])
                         | (octave[:, 1:] < octave[:, :-1]))
         if extra.any():
-            vals[:, extra] = self.parts(z[extra])
+            vals[extra] = self.h.value(z[extra])
             anchor = head | extra
-            out = _chain(incr, anchor, vals[:, anchor])
-        return out.reshape(2, n, nb * width)[:, :, :m].reshape((2,) + theta.shape)
+            h = _chain(incr, anchor, vals[anchor])
+        z, h = (a.reshape(n, nb * width)[:, :m].reshape(theta.shape) for a in (z, h))
+        return np.stack([h, _g_from_h(sh, z, h)])
+
+
+def _g_from_h(sys: ShearSystem, zs, h):
+    """g = conj(eta) (h - phi) at zs, from h there and phi's closed form."""
+    return np.conj(sys.eta) * (h - sys.phi.value(zs))
 
 
 def _chain(incr, anchor, vals) -> np.ndarray:
-    """Running sums of ``incr`` (k, rows, m - 1) along each row, restarted from
-    ``vals`` (k, anchors) at every True of ``anchor`` (rows, m), whose first
+    """Running sums of ``incr`` (rows, m - 1) along each row, restarted from
+    ``vals`` (anchors,) at every True of ``anchor`` (rows, m), whose first
     column is all True; each segment is summed from its own anchor."""
-    k = incr.shape[0]
-    steps = np.empty((k,) + anchor.shape, dtype=complex)
-    steps[:, :, 1:] = incr
-    steps[:, anchor] = vals
-    steps = steps.reshape(k, -1)
+    steps = np.empty(anchor.shape, dtype=complex)
+    steps[:, 1:] = incr
+    steps[anchor] = vals
+    steps = steps.ravel()
     starts = np.flatnonzero(anchor)
     lengths = np.diff(np.append(starts, anchor.size))
     cols = np.arange(lengths.max())
     valid = cols < lengths[:, None]
     idx = (starts[:, None] + cols)[valid]
-    seg = np.zeros((k,) + valid.shape, dtype=complex)
-    seg[:, valid] = steps[:, idx]
+    seg = np.zeros(valid.shape, dtype=complex)
+    seg[valid] = steps[idx]
     out = np.empty_like(steps)
-    out[:, idx] = np.cumsum(seg, axis=-1)[:, valid]
-    return out.reshape((k,) + anchor.shape)
+    out[idx] = np.cumsum(seg, axis=1)[valid]
+    return out.reshape(anchor.shape)
 
 
 def shear_construct(sys: ShearSystem) -> HarmonicMap:
-    """Solve the shear system; the result lies in S_H^0 by construction."""
+    """Solve the shear system; the result lies in S_H^0 by construction.
+
+    h is a radial quadrature of h' alone, or phi when omega is zero; g is
+    solved from h (``HarmonicMap.parts``).
+    """
     phi_d1, phi_d2 = sys.phi.d1_fn, sys.phi.d2_fn
     om_v, om_d1 = sys.omega.value_fn, sys.omega.d1_fn
     eta = sys.eta
+
+    def hp(z):
+        return phi_d1(z) / (1.0 - eta * om_v(z))
 
     def hgp(z):
         # (phi'/den, omega*phi'/den), den = 1 - eta*omega, from one phi' and
@@ -185,9 +196,6 @@ def shear_construct(sys: ShearSystem) -> HarmonicMap:
         np.divide(p1, h1, out=h1)
         return out
 
-    def hp(z):
-        return hgp(z)[0]
-
     def hpp(z):
         den = 1.0 - eta * om_v(z)
         return (phi_d2(z) * den + eta * om_d1(z) * phi_d1(z)) / den ** 2
@@ -195,9 +203,12 @@ def shear_construct(sys: ShearSystem) -> HarmonicMap:
     def gpp(z):
         return om_d1(z) * hp(z) + om_v(z) * hpp(z)
 
-    h = antiderivative_function(f"h[{sys.label}]", hp, hpp)
-    g = antiderivative_function(f"g[{sys.label}]", lambda z: hgp(z)[1], gpp)
-    return HarmonicMap(h, g, label=sys.label, d1_pair=hgp)
+    h_value = sys.phi.value_fn if isinstance(sys.omega.spec, ZeroOmega) \
+        else lambda z: antiderivative_many(hp, z)[()]
+    h = AnalyticFunction(f"h[{sys.label}]", h_value, hp, hpp)
+    g = AnalyticFunction(f"g[{sys.label}]", lambda z: _g_from_h(sys, z, h_value(z)),
+                         lambda z: hgp(z)[1], gpp)
+    return HarmonicMap(h, g, label=sys.label, d1_pair=hgp, shear=sys)
 
 
 def harmonic_from_analytic(phi: AnalyticFunction) -> HarmonicMap:
@@ -210,7 +221,8 @@ def analytic_combination(f: HarmonicMap, t: float) -> AnalyticFunction:
     """The analytic function h - e^{2it} g used by the directional criterion.
 
     Values and first derivatives read h and g together (``parts`` and
-    ``derivatives``), so a shear evaluates its (h', g') pair once per point.
+    ``derivatives``), so a shear integrates h once per point and evaluates
+    its (h', g') pair once.
     """
     mu = np.exp(2j * float(t))
     h, g = f.h, f.g

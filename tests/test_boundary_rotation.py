@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from shearconvex.boundary_rotation import (boundary_rotation_value,
+from shearconvex.boundary_rotation import (MAX_ANGLE_SAMPLES, _angle_count,
+                                           boundary_rotation_value,
                                            brannan_transform, vk_membership)
+from shearconvex.cli import main
 from shearconvex.functions import (AnalyticFunction, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.shear import ShearSystem, shear_construct
@@ -125,3 +127,27 @@ def test_rotation_never_reads_the_value_channel():
         raise AssertionError("boundary_rotation_value read the value channel")
     phi = AnalyticFunction("H without value", unreadable, H.d1_fn, H.d2_fn)
     assert boundary_rotation_value(phi, 0.99) == boundary_rotation_value(H, 0.99)
+
+
+def test_radii_needing_too_many_angles_are_refused(monkeypatch, capsys):
+    # r = 0.9999999 would need 2^28 angles; the refusal must come before any
+    # array is built, so linspace fails loudly above the cap
+    linspace = np.linspace
+
+    def capped(start, stop, num=50, **kw):
+        assert num <= MAX_ANGLE_SAMPLES, f"linspace of {num} points"
+        return linspace(start, stop, num, **kw)
+    monkeypatch.setattr(np, "linspace", capped)
+    H = catalog(CatalogId("H"))
+    for r in (0.999999, 0.9999999):
+        with pytest.raises(ValueError, match=f"r = {r!r}"):
+            boundary_rotation_value(H, r)
+    assert _angle_count(0.99999) == MAX_ANGLE_SAMPLES      # still allowed
+    assert main(["vk", "--phi", "H", "--k", "2", "--radii", "0.9999999"]) == 1
+    assert "0.9999999" in capsys.readouterr().err
+
+
+def test_brannan_transform_needs_normalized_data():
+    # psi is built from the shear of (phi, lam z^N, -1), whose phi must be in S
+    with pytest.raises(ValueError, match="must satisfy phi"):
+        brannan_transform(catalog(CatalogId("F0_G_PART")), 1.0, 1)

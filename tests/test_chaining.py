@@ -74,8 +74,9 @@ def test_grids_of_any_length_chain(shape):
 
 @pytest.mark.parametrize("r", [0.999, 0.9999])
 def test_maps_without_a_pair_chain_their_d1_channels(r):
-    # Koebe's closed form, and f0 without its pair, so that its h and g (g
-    # nonzero) integrate apart, against their chained d1 channels
+    # Koebe's closed form, which is not a shear and is evaluated point by
+    # point, and f0 without its pair, which still chains its h' channel and
+    # solves g from h, both against the radial route
     theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     for f in (harmonic_from_analytic(catalog(CatalogId("KOEBE"))),
               dataclasses.replace(shear_construct(SYSTEMS["f0"]), d1_pair=None)):
@@ -111,8 +112,8 @@ def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
     r = 0.9999
     theta = np.linspace(-0.3, 0.3, 2 * CHAIN_STRIDE) + 0.001
     z = r * np.exp(1j * theta)
-    start = np.stack(f.parts(z[::CHAIN_STRIDE]))
-    _, ok = chord_increments(f.d1_pair, z.reshape(2, CHAIN_STRIDE), start)
+    start = f.h.value(z[::CHAIN_STRIDE])
+    _, ok = chord_increments(f.h.d1_fn, z.reshape(2, CHAIN_STRIDE), start)
     block, step = np.nonzero(~ok)
     after = block * CHAIN_STRIDE + step + 1
     ref = np.stack(f.parts(z))

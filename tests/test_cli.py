@@ -108,6 +108,27 @@ def test_probe_seed_echo(capsys):
     assert "seed=9" in rep["config"]["family"]
 
 
+def test_probe_seed_is_appended_to_a_family_without_one(capsys):
+    def keys(*extra):
+        code, out, _ = run(capsys, "probe", "--phi", "H", "--eta=-1,0", "--radii", "0.9",
+                           *extra)
+        assert code == 0
+        rep = json.loads(out)
+        return list(rep["per_omega"]), rep["config"]
+    seeded, cfg = keys("--family", "blaschke-random:count=1,deg=1", "--seed", "3")
+    assert cfg["seed_echo"] == 3 and cfg["family"] == "blaschke-random:count=1,deg=1,seed=3"
+    assert seeded == keys("--family", "blaschke-random:count=1,deg=1,seed=3")[0]
+    assert seeded != keys("--family", "blaschke-random:count=1,deg=1")[0]
+
+
+@pytest.mark.parametrize("family", ["explicit:blaschke:seed=1,deg=1+blaschke:seed=2,deg=1",
+                                    "monomial-grid:phases=2,nmax=1"])
+def test_probe_seed_on_a_family_without_a_seed_is_refused(capsys, family):
+    code, out, err = run(capsys, "probe", "--phi", "H", "--eta=-1,0", "--radii", "0.9",
+                         "--family", family, "--seed", "3")
+    assert code == 1 and out == "" and "--seed" in err
+
+
 def test_vk_json(capsys):
     code, out, _ = run(capsys, "vk", "--phi", "H", "--k", "2")
     assert code == 0

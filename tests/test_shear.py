@@ -10,6 +10,7 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    rotate_analytic)
 from shearconvex.quadrature import ABS_TOL, ORDER, antiderivative_many
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
+from shearconvex import shear
 from shearconvex.shear import ShearSystem, analytic_combination, shear_construct
 
 H = catalog(CatalogId("H"))
@@ -86,6 +87,32 @@ def test_h_matches_mpmath_near_the_circle(case):
             ref = complex(mp.quad(lambda t: zm * hp(zm * t), grid))
             bound = 5e-14 if theta in poles else 1e-14
             assert abs(value - ref) <= bound * abs(ref), (theta, value, ref)
+
+
+MP_OMEGAS = {"H,omega=z": lambda z: z, "H,blaschke": _mp_blaschke,
+             "L_i,omega=-z^3": lambda z: -z ** 3}
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 0.9999])
+@pytest.mark.parametrize("case", sorted(MP_CASES))
+def test_g_matches_mpmath_near_the_circle(case, r):
+    # g is solved from h, g = conj(eta) (h - phi), never integrated; against
+    # mp.quad of g' = omega h' (grid graded as above, to 2^-3 of 1 - r) it
+    # keeps 5e-14 of the larger of |g| and |h|, the size of its two terms.
+    # h_ref = phi - g_ref (eta = -1) sets only that scale.
+    phi, omega, hp, _ = MP_CASES[case]
+    om = MP_OMEGAS[case]
+    zs = r * np.exp(1j * np.array(MP_THETAS))
+    _, got = shear_construct(ShearSystem(phi, omega, -1.0)).parts(zs)
+    depth = int(np.ceil(-np.log2(1.0 - r))) + 3
+    with mp.workdps(30):
+        grid = [mp.mpf(0)] + [1 - mp.mpf(2) ** -j for j in range(1, depth)] + [mp.mpf(1)]
+        for theta, z, value in zip(MP_THETAS, zs, got):
+            zm = mp.mpc(z)
+            g_ref = complex(mp.quad(lambda t: zm * om(zm * t) * hp(zm * t), grid))
+            h_ref = phi.value(z) - g_ref
+            bound = 5e-14 * max(abs(g_ref), abs(h_ref))
+            assert abs(value - g_ref) <= bound, (theta, value, g_ref)
 
 
 SEEDED_SYSTEMS = []
@@ -197,14 +224,16 @@ FUSED_POINTS = np.concatenate([0.999 * np.exp(2j * np.pi * np.arange(24) / 24),
 
 @pytest.mark.parametrize("sys_", FUSED_SYSTEMS, ids=lambda s: s.label[:48])
 def test_fused_channels_equal_the_separate_routes_bit_for_bit(sys_):
-    # map_points and derivatives read one stacked (h', g'); each part must be
-    # exactly what integrating and evaluating it on its own gives
+    # map_points integrates h' alone and solves g = conj(eta) (h - phi);
+    # derivatives read one stacked (h', g'), each row exactly what evaluating
+    # it on its own gives
     f = shear_construct(sys_)
     p1, om, eta = sys_.phi.d1, sys_.omega.value, sys_.eta
     hp = lambda z: p1(z) / (1.0 - eta * om(z))
     gp = lambda z: om(z) * p1(z) / (1.0 - eta * om(z))
     zs = FUSED_POINTS
-    h, g = antiderivative_many(hp, zs), antiderivative_many(gp, zs)
+    h = antiderivative_many(hp, zs)
+    g = np.conj(eta) * (h - sys_.phi.value(zs))
     assert np.array_equal(f.map_points(zs), h + np.conj(g))
     assert np.array_equal(f.map_points(zs), f.h.value(zs) + np.conj(f.g.value(zs)))
     fh, fg = f.parts(zs)
@@ -221,15 +250,19 @@ def _counted(fn, counts, key):
     return wrapper
 
 
-def test_one_phi_prime_and_one_omega_per_point():
-    counts = dict.fromkeys(("phi'", "phi''", "omega", "omega'", "nodes"), 0)
-    phi = dataclasses.replace(H, d1_fn=_counted(H.d1_fn, counts, "phi'"),
+def test_one_phi_prime_and_one_omega_per_point(monkeypatch):
+    counts = dict.fromkeys(("phi", "phi'", "phi''", "omega", "omega'", "nodes"), 0)
+    phi = dataclasses.replace(H, value_fn=_counted(H.value_fn, counts, "phi"),
+                              d1_fn=_counted(H.d1_fn, counts, "phi'"),
                               d2_fn=_counted(H.d2_fn, counts, "phi''"))
     omega = dataclasses.replace(SEED7_BLASCHKE,
                                 value_fn=_counted(SEED7_BLASCHKE.value_fn, counts, "omega"),
                                 d1_fn=_counted(SEED7_BLASCHKE.d1_fn, counts, "omega'"))
+
+    def counted_quadrature(fprime, zs, depth0=4):
+        return antiderivative_many(_counted(fprime, counts, "nodes"), zs, depth0)
+    monkeypatch.setattr(shear, "antiderivative_many", counted_quadrature)
     f = shear_construct(ShearSystem(phi, omega, -1.0))
-    f = dataclasses.replace(f, d1_pair=_counted(f.d1_pair, counts, "nodes"))
     counts.update(dict.fromkeys(counts, 0))        # ShearSystem checks phi at 0
     zs = FUSED_POINTS[:-1]
     f.map_points(zs)
@@ -237,10 +270,23 @@ def test_one_phi_prime_and_one_omega_per_point():
     assert counts["nodes"] >= zs.size * ORDER * 7
     assert counts["phi'"] == counts["omega"] == counts["nodes"]
     assert counts["phi''"] == counts["omega'"] == 0
+    assert counts["phi"] == zs.size                 # g = conj(eta) (h - phi)
     counts.update(dict.fromkeys(counts, 0))
     f.derivatives(zs)
-    assert counts["phi'"] == counts["omega"] == counts["nodes"] == zs.size
-    assert counts["phi''"] == counts["omega'"] == 0
+    assert counts["phi'"] == counts["omega"] == zs.size
+    assert counts["phi''"] == counts["omega'"] == counts["nodes"] == 0
+
+
+def test_zero_dilatation_integrates_nothing(monkeypatch):
+    def no_quadrature(*a, **k):
+        raise AssertionError("a zero-omega shear called the quadrature")
+    monkeypatch.setattr(shear, "antiderivative_many", no_quadrature)
+    monkeypatch.setattr(shear, "chord_increments", no_quadrature)
+    f = shear_construct(ShearSystem(H, make_schwarz(ZeroOmega()), complex(np.exp(0.7j))))
+    zs = FUSED_POINTS
+    assert np.array_equal(f.map_points(zs), H.value(zs) + 0.0)
+    hg = f.parts_on_circle(0.999, np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False))
+    assert hg.shape == (2, 300) and not hg[1].any()
 
 
 def test_analytic_combination_reads_the_pair_once():
