@@ -23,7 +23,7 @@ from .probe import ProbeConfig, probe_admissibility
 from .quadrature import ToleranceNotMet
 from .render import csv_lines, dumps_report, render_curve_svg, round_floats
 from .reproduce import CASES
-from .shear import ShearSystem, harmonic_from_analytic, shear_construct
+from .shear import ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, SpecError, parse_eta,
                     parse_omega, parse_phi, parse_radii)
 
@@ -87,11 +87,8 @@ def cmd_shear(args) -> int:
 
 
 def _convexity_report(args):
-    omega = parse_omega(args.omega)
-    if args.omega == "zero":
-        f = harmonic_from_analytic(parse_phi(args.phi))
-    else:
-        f = shear_construct(ShearSystem(parse_phi(args.phi), omega, parse_eta(args.eta)))
+    f = shear_construct(ShearSystem(parse_phi(args.phi), parse_omega(args.omega),
+                                    parse_eta(args.eta)))
     curve = sample_boundary(f, args.r, args.n)
     rep = convexity_check(curve)
     gamma = curve.gamma

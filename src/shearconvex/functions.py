@@ -241,32 +241,20 @@ def _blaschke_channels(spec: BlaschkeOmega):
     s = spec.scale * np.exp(1j * spec.phase)
     zeros = spec.zeros
 
-    def product(z):
+    def value(z):
         B = 1.0 + z * 0
         for a in zeros:
             B = B * (a - z) / (1.0 - np.conj(a) * z)
-        return B
-
-    def value(z):
-        return s * z * product(z)
+        return s * z * B
 
     def d1(z):
-        facs, dfacs = [], []
+        # forward mode: (B, B') carried through each factor (a - z)/den,
+        # whose derivative collapses to (|a|^2 - 1)/den^2
+        B, Bp = 1.0 + z * 0, z * 0
         for a in zeros:
             den = 1.0 - np.conj(a) * z
-            facs.append((a - z) / den)
-            # d/dz of a single factor collapses to (|a|^2 - 1)/den^2
-            dfacs.append((abs(a) ** 2 - 1.0) / den ** 2)
-        B = 1.0 + z * 0
-        for f in facs:
-            B = B * f
-        Bp = z * 0
-        for k in range(len(zeros)):
-            term = dfacs[k]
-            for j in range(len(zeros)):
-                if j != k:
-                    term = term * facs[j]
-            Bp = Bp + term
+            fac = (a - z) / den
+            B, Bp = B * fac, Bp * fac + B * ((abs(a) ** 2 - 1.0) / den ** 2)
         return s * (B + z * Bp)
 
     return value, d1

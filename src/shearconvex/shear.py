@@ -1,20 +1,21 @@
 """Shear construction: solve h - eta*g = phi, g'/h' = omega, h(0) = g(0) = 0.
 
+Every harmonic map here is a shear.  An analytic phi is the shear of
+(phi, 0, 1): with zero omega, h is phi itself and g is 0, in closed form,
+and nothing is integrated (:func:`harmonic_from_analytic`).
+
 Eliminating g' gives h' = phi' / (1 - eta*omega); the denominator never
 vanishes on the disk because |eta*omega| < 1 there.  Values of h are radial
-antiderivatives of h' (h is phi itself when omega is zero), and g follows
-from the shear equation, g = conj(eta) (h - phi), with phi in closed form,
-so a shear integrates h alone.  First and second derivatives are
-closed-form:
+antiderivatives of h', and g follows from the shear equation,
+g = conj(eta) (h - phi), with phi in closed form, so a shear integrates h
+alone.  Derivatives are closed-form and come as two stacked pairs, each
+from one evaluation of the data per point:
 
-    h'' = (phi''*(1 - eta*omega) + eta*omega'*phi') / (1 - eta*omega)^2
-    g'  = omega * h'
-    g'' = omega' * h' + omega * h''
+    (h', g')  = (phi', omega*phi') / (1 - eta*omega)        [phi', omega]
+    h''       = (phi''*(1 - eta*omega) + eta*omega'*phi') / (1 - eta*omega)^2
+    g''       = omega' * h' + omega * h''       [phi', phi'', omega, omega']
 
-so boundary tangents downstream never touch quadrature.
-
-h' and g' share phi' and omega, so tangents evaluate them as one stacked
-pair, from one phi' and one omega per point.
+so boundary tangents and curvatures downstream never touch quadrature.
 
 Dense samples along a circle (the winding curves) get h by chaining h'
 along chords between neighbouring samples from radial anchors
@@ -28,11 +29,11 @@ is built as the shear of the rotated datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
-from .functions import AnalyticFunction, SchwarzFunction, ZeroOmega, require_unimodular
+from .functions import (AnalyticFunction, SchwarzFunction, ZeroOmega, make_schwarz,
+                        require_unimodular)
 from .quadrature import antiderivative_many, chord_increments
 
 S_NORMALIZATION_TOL = 1e-10
@@ -41,7 +42,9 @@ CHAIN_STRIDE = 128               # circle samples per radial anchor when chainin
 
 @dataclass(frozen=True)
 class ShearSystem:
-    """Shear datum (phi, omega, eta) with eta = e^{2i theta} stored directly."""
+    """Shear datum (phi, omega, eta) with eta = e^{2i theta} stored directly,
+    and its closed-form derivatives: the quadrature integrand h' and the
+    stacked pairs (h', g') and (h'', g'')."""
 
     phi: AnalyticFunction
     omega: SchwarzFunction
@@ -59,32 +62,53 @@ class ShearSystem:
         e = self.eta
         return f"shear(phi={self.phi.label},omega={self.omega.label},eta={e.real!r}{e.imag:+}j)"
 
+    @property
+    def analytic(self) -> bool:
+        """Zero omega: the shear is phi itself, h = phi and g = 0."""
+        return isinstance(self.omega.spec, ZeroOmega)
+
+    def h_prime(self, z):
+        """h' = phi'/(1 - eta*omega), the only quadrature integrand."""
+        return self.phi.d1_fn(z) / (1.0 - self.eta * self.omega.value_fn(z))
+
+    def d1_pair(self, z):
+        """(h', g') stacked on a leading axis, from one phi' and one omega per point."""
+        p1, om = self.phi.d1_fn(z), self.omega.value_fn(z)
+        out = np.empty((2,) + np.shape(z), dtype=complex)
+        h1, g1 = out[0, ...], out[1, ...]
+        # den = 1 - eta*omega is parked in the h' row, so no temporaries are made
+        np.subtract(1.0, np.multiply(self.eta, om, out=h1), out=h1)
+        np.divide(np.multiply(om, p1, out=g1), h1, out=g1)
+        np.divide(p1, h1, out=h1)
+        return out
+
+    def d2_pair(self, z):
+        """(h'', g'') stacked, from one phi', phi'', omega and omega' per point."""
+        eta, p1 = self.eta, self.phi.d1_fn(z)
+        om, om1 = self.omega.value_fn(z), self.omega.d1_fn(z)
+        den = 1.0 - eta * om
+        h2 = (self.phi.d2_fn(z) * den + eta * om1 * p1) / den ** 2
+        return np.stack([h2, om1 * (p1 / den) + om * h2])
+
 
 @dataclass(frozen=True)
 class HarmonicMap:
-    """Harmonic f = h + conj(g) with analytic parts carrying derivatives.
+    """The shear f = h + conj(g) of the datum ``shear``.
 
-    ``d1_pair``, when set, returns (h', g') stacked on a leading axis.
-    ``shear``, when set, is the datum the map solves: g is then read from h
-    as conj(eta) (h - phi), never integrated.
+    h and g carry value, first- and second-derivative channels.  h is
+    integrated (phi itself for zero omega); g is solved from h, never
+    integrated; the derivative channels read the datum's stacked pairs.
     """
 
     h: AnalyticFunction
     g: AnalyticFunction
-    label: str = field(default="")
-    d1_pair: Optional[Callable] = field(default=None, repr=False, compare=False)
-    shear: Optional[ShearSystem] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", f"{self.h.label}+conj({self.g.label})")
+    label: str
+    shear: ShearSystem = field(repr=False, compare=False)
 
     def parts(self, zs):
-        """(h(zs), g(zs)); a shear integrates h alone and solves for g."""
+        """(h(zs), g(zs)): h read once per point, g solved from it."""
         zs = np.asarray(zs, dtype=complex)
         h = self.h.value(zs)
-        if self.shear is None:
-            return h, self.g.value(zs)
         return h, _g_from_h(self.shear, zs, h)
 
     def map_points(self, zs) -> np.ndarray:
@@ -93,10 +117,8 @@ class HarmonicMap:
         return h + np.conj(g)
 
     def derivatives(self, zs):
-        """(h'(zs), g'(zs)); never touches the quadrature-backed value channel."""
-        if self.d1_pair is None:
-            return self.h.d1(zs), self.g.d1(zs)
-        return tuple(self.d1_pair(zs))
+        """(h'(zs), g'(zs)) from one stacked pair; never touches quadrature."""
+        return tuple(self.shear.d1_pair(zs))
 
     def parts_on_circle(self, r: float, theta, start=None) -> np.ndarray:
         """(h, g) at r*e^{i theta}, stacked: ``(2,) + theta.shape``.
@@ -109,12 +131,12 @@ class HarmonicMap:
         converge; and the end of a step larger than the position it reaches
         or falling below the power of two the position started in, so that
         a pole's excursion carries no absolute error into the smaller
-        positions after it.  g is then solved from h.  Any other map, and a
-        shear with zero omega, is evaluated point by point.
+        positions after it.  g is then solved from h.  A shear with zero
+        omega is phi itself, read point by point.
         """
         theta = np.asarray(theta, dtype=float)
         sh = self.shear
-        if sh is None or isinstance(sh.omega.spec, ZeroOmega):
+        if sh.analytic:
             return np.stack(self.parts(r * np.exp(1j * theta)))
         rows = theta.reshape(-1, theta.shape[-1])
         n, m = rows.shape
@@ -148,7 +170,10 @@ class HarmonicMap:
 
 
 def _g_from_h(sys: ShearSystem, zs, h):
-    """g = conj(eta) (h - phi) at zs, from h there and phi's closed form."""
+    """g at zs from h there: conj(eta) (h - phi) with phi's closed form, or 0
+    for zero omega, where h is phi."""
+    if sys.analytic:
+        return np.zeros_like(h)
     return np.conj(sys.eta) * (h - sys.phi.value(zs))
 
 
@@ -175,65 +200,40 @@ def _chain(incr, anchor, vals) -> np.ndarray:
 def shear_construct(sys: ShearSystem) -> HarmonicMap:
     """Solve the shear system; the result lies in S_H^0 by construction.
 
-    h is a radial quadrature of h' alone, or phi when omega is zero; g is
-    solved from h (``HarmonicMap.parts``).
+    h is a radial quadrature of h' alone, or phi when omega is zero, and
+    then the map carries phi's label; g is solved from h
+    (``HarmonicMap.parts``).
     """
-    phi_d1, phi_d2 = sys.phi.d1_fn, sys.phi.d2_fn
-    om_v, om_d1 = sys.omega.value_fn, sys.omega.d1_fn
-    eta = sys.eta
-
-    def hp(z):
-        return phi_d1(z) / (1.0 - eta * om_v(z))
-
-    def hgp(z):
-        # (phi'/den, omega*phi'/den), den = 1 - eta*omega, from one phi' and
-        # one omega; den is parked in the h' row, so no temporaries are made
-        p1, om = phi_d1(z), om_v(z)
-        out = np.empty((2,) + np.shape(z), dtype=complex)
-        h1, g1 = out[0, ...], out[1, ...]
-        np.subtract(1.0, np.multiply(eta, om, out=h1), out=h1)
-        np.divide(np.multiply(om, p1, out=g1), h1, out=g1)
-        np.divide(p1, h1, out=h1)
-        return out
-
-    def hpp(z):
-        den = 1.0 - eta * om_v(z)
-        return (phi_d2(z) * den + eta * om_d1(z) * phi_d1(z)) / den ** 2
-
-    def gpp(z):
-        return om_d1(z) * hp(z) + om_v(z) * hpp(z)
-
-    h_value = sys.phi.value_fn if isinstance(sys.omega.spec, ZeroOmega) \
-        else lambda z: antiderivative_many(hp, z)[()]
-    h = AnalyticFunction(f"h[{sys.label}]", h_value, hp, hpp)
-    g = AnalyticFunction(f"g[{sys.label}]", lambda z: _g_from_h(sys, z, h_value(z)),
-                         lambda z: hgp(z)[1], gpp)
-    return HarmonicMap(h, g, label=sys.label, d1_pair=hgp, shear=sys)
+    if sys.analytic:
+        label, h_value = sys.phi.label, sys.phi.value_fn
+    else:
+        label, h_value = sys.label, (lambda z: antiderivative_many(sys.h_prime, z)[()])
+    h = AnalyticFunction(f"h[{label}]", h_value, sys.h_prime, lambda z: sys.d2_pair(z)[0])
+    g = AnalyticFunction(f"g[{label}]", lambda z: _g_from_h(sys, z, h_value(z)),
+                         lambda z: sys.d1_pair(z)[1], lambda z: sys.d2_pair(z)[1])
+    return HarmonicMap(h, g, label, sys)
 
 
 def harmonic_from_analytic(phi: AnalyticFunction) -> HarmonicMap:
-    """Wrap an analytic function as the harmonic map h = phi, g = 0."""
-    zero = AnalyticFunction("0", lambda z: z * 0, lambda z: z * 0, lambda z: z * 0)
-    return HarmonicMap(phi, zero, label=phi.label)
+    """phi as a harmonic map: the zero-omega shear of (phi, 0, 1), h = phi and
+    g = 0; phi must be normalized, as every shear datum is."""
+    return shear_construct(ShearSystem(phi, make_schwarz(ZeroOmega()), 1.0))
 
 
 def analytic_combination(f: HarmonicMap, t: float) -> AnalyticFunction:
     """The analytic function h - e^{2it} g used by the directional criterion.
 
-    Values and first derivatives read h and g together (``parts`` and
-    ``derivatives``), so a shear integrates h once per point and evaluates
-    its (h', g') pair once.
+    Each channel reads h and g together: values through ``parts`` (h
+    integrated once per point), derivatives through the datum's stacked
+    pairs, so psi'' costs one phi', phi'', omega and omega' per point.
     """
     mu = np.exp(2j * float(t))
-    h, g = f.h, f.g
 
-    def value(z):
-        hz, gz = f.parts(z)
-        return hz - mu * gz
+    def combine(pair):
+        def channel(z):
+            a, b = pair(z)
+            return a - mu * b
+        return channel
 
-    def d1(z):
-        h1, g1 = f.derivatives(z)
-        return h1 - mu * g1
-
-    return AnalyticFunction(f"comb({f.label},t={float(t)!r})", value, d1,
-                            lambda z: h.d2_fn(z) - mu * g.d2_fn(z))
+    return AnalyticFunction(f"comb({f.label},t={float(t)!r})", combine(f.parts),
+                            combine(f.derivatives), combine(f.shear.d2_pair))

@@ -137,32 +137,33 @@ _OMEGA_SEP = re.compile(r"\+(?=\s*(?:zero|monomial|blaschke|\+|$))")
 def family_from_spec(spec: str) -> List[SchwarzFunction]:
     """Expand a family spec into concrete dilatations, sorted by text form."""
     spec = spec.strip()
-    if spec.startswith("explicit:"):
-        omegas = [parse_omega(s) for s in _OMEGA_SEP.split(spec[len("explicit:"):]) if s]
-        if not omegas:
-            raise SpecError("explicit family is empty")
-        return sorted(omegas, key=lambda w: w.spec.text)
-    kv = _kv(spec.split(":", 1)[1] if ":" in spec else "", "family")
-    head = spec.split(":", 1)[0]
+    head, _, body = spec.partition(":")
     omegas: List[SchwarzFunction] = []
-    if head in ("monomial-grid", "mixed"):
-        phases = int(kv.get("phases", 8))
-        nmax = int(kv.get("nmax", 3))
-        for k in range(phases):
-            lam = np.exp(2j * np.pi * k / phases)
-            for n in range(1, nmax + 1):
-                omegas.append(make_schwarz(MonomialOmega(lam=lam, n=n)))
-    if head in ("blaschke-random", "mixed"):
-        count = int(kv.get("count", 50))
-        deg_max = int(kv.get("deg", 3))
-        seed = int(kv.get("seed", 7))
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            zeros, phase = _draw_blaschke(rng, int(rng.integers(1, deg_max + 1)))
-            scale = complex(rng.uniform(0.5, 1.0))
-            omegas.append(make_schwarz(BlaschkeOmega(zeros=zeros, phase=phase, scale=scale)))
-    if head not in ("monomial-grid", "blaschke-random", "mixed"):
+    if head == "explicit":
+        omegas = [parse_omega(s) for s in _OMEGA_SEP.split(body) if s]
+    elif head in ("monomial-grid", "blaschke-random", "mixed"):
+        kv = _kv(body, "family")
+        if head in ("monomial-grid", "mixed"):
+            phases = int(kv.get("phases", 8))
+            nmax = int(kv.get("nmax", 3))
+            for k in range(phases):
+                lam = np.exp(2j * np.pi * k / phases)
+                for n in range(1, nmax + 1):
+                    omegas.append(make_schwarz(MonomialOmega(lam=lam, n=n)))
+        if head in ("blaschke-random", "mixed"):
+            count = int(kv.get("count", 50))
+            deg_max = int(kv.get("deg", 3))
+            seed = int(kv.get("seed", 7))
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                zeros, phase = _draw_blaschke(rng, int(rng.integers(1, deg_max + 1)))
+                scale = complex(rng.uniform(0.5, 1.0))
+                omegas.append(make_schwarz(BlaschkeOmega(zeros=zeros, phase=phase,
+                                                         scale=scale)))
+    else:
         raise SpecError(f"unknown family spec {spec!r}")
+    if not omegas:
+        raise SpecError(f"family {spec!r} expands to no dilatation")
     return sorted(omegas, key=lambda w: w.spec.text)
 
 

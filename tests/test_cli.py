@@ -8,7 +8,7 @@ from shearconvex.cli import main
 from shearconvex.geometry import verdict_from_increments
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.render import render_curve_svg
-from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
+from shearconvex.specs import DEFAULT_FAMILY, SpecError, family_from_spec
 
 
 def run(capsys, *argv):
@@ -150,6 +150,25 @@ def test_malformed_spec_exits_one(capsys):
     assert "error" in err
     code, _, err = run(capsys, "convexity", "--phi", "mobius:re=0,im=1")
     assert code == 1 and "mobius" in err
+
+
+def test_convexity_of_an_unnormalized_phi_exits_one(capsys):
+    # every map is a shear, so zero omega (the default) refuses f0g as
+    # every other omega does
+    for omega in ("zero", "monomial:N=1"):
+        code, out, err = run(capsys, "convexity", "--phi", "f0g", "--omega", omega)
+        assert code == 1 and out == ""
+        assert "phi (= f0g) must satisfy phi(0) = 0, phi'(0) = 1" in err
+
+
+@pytest.mark.parametrize("family", ["monomial-grid:phases=0", "blaschke-random:count=0",
+                                    "mixed:phases=0,count=0", "explicit:"])
+def test_an_empty_family_is_refused(capsys, family):
+    with pytest.raises(SpecError, match="expands to no dilatation"):
+        family_from_spec(family)
+    code, out, err = run(capsys, "probe", "--phi", "H", "--eta", "-1,0", "--family", family)
+    assert code == 1 and out == ""
+    assert "expands to no dilatation" in err
 
 
 def test_unknown_case_exits_one(capsys):

@@ -10,8 +10,9 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    rotate_analytic)
 from shearconvex.quadrature import ABS_TOL, ORDER, antiderivative_many
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
-from shearconvex import shear
-from shearconvex.shear import ShearSystem, analytic_combination, shear_construct
+from shearconvex import boundary_rotation, shear
+from shearconvex.shear import (ShearSystem, analytic_combination, harmonic_from_analytic,
+                               shear_construct)
 
 H = catalog(CatalogId("H"))
 OM_Z = make_schwarz(MonomialOmega(1.0, 1))
@@ -287,6 +288,65 @@ def test_zero_dilatation_integrates_nothing(monkeypatch):
     assert np.array_equal(f.map_points(zs), H.value(zs) + 0.0)
     hg = f.parts_on_circle(0.999, np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False))
     assert hg.shape == (2, 300) and not hg[1].any()
+
+
+NORMALIZED_PHIS = {c.text: catalog(c) for c in (
+    CatalogId("H"), CatalogId("H_ROT_MINUS1"), CatalogId("KOEBE"), CatalogId("IDENTITY"),
+    CatalogId("F0_H_PART"), CatalogId("L_LAMBDA", 1j))}
+NORMALIZED_PHIS["H@rot"] = rotate_analytic(H, np.exp(1.3231j))
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PHIS))
+def test_zero_omega_map_is_phi_in_closed_form(name, monkeypatch):
+    # an analytic map is the zero-omega shear: h = phi and g = 0, read from
+    # phi's closed form once per point, with no quadrature at all
+    def no_quadrature(*a, **k):
+        raise AssertionError("a zero-omega shear called the quadrature")
+    monkeypatch.setattr(shear, "antiderivative_many", no_quadrature)
+    monkeypatch.setattr(shear, "chord_increments", no_quadrature)
+    base = NORMALIZED_PHIS[name]
+    counts = {"phi": 0}
+    f = harmonic_from_analytic(dataclasses.replace(
+        base, value_fn=_counted(base.value_fn, counts, "phi")))
+    assert f.label == base.label
+    counts["phi"] = 0                               # ShearSystem checks phi at 0
+    zs, zero = FUSED_POINTS, np.zeros(FUSED_POINTS.shape)
+    h, g = f.parts(zs)
+    assert counts["phi"] == zs.size
+    assert np.array_equal(h, base.value(zs)) and np.array_equal(g, zero)
+    assert np.array_equal(f.map_points(zs), base.value(zs))
+    assert counts["phi"] == 2 * zs.size
+    theta = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
+    hg = f.parts_on_circle(0.999, theta)
+    assert counts["phi"] == 2 * zs.size + theta.size
+    assert np.array_equal(hg[0], base.value(0.999 * np.exp(1j * theta))) and not hg[1].any()
+    h1, g1 = f.derivatives(zs)
+    assert np.array_equal(h1, base.d1(zs)) and np.array_equal(g1, zero)
+
+
+def test_brannan_second_derivative_reads_each_channel_once(monkeypatch):
+    # psi = h - g of the shear of (H, z^2, -1): psi'' reads one phi', phi'',
+    # omega and omega' per point, and is h'' - mu (omega' h' + omega h'')
+    counts = dict.fromkeys(("phi'", "phi''", "omega", "omega'"), 0)
+    phi = dataclasses.replace(H, d1_fn=_counted(H.d1_fn, counts, "phi'"),
+                              d2_fn=_counted(H.d2_fn, counts, "phi''"))
+
+    def counted_schwarz(spec):
+        w = make_schwarz(spec)
+        return dataclasses.replace(w, value_fn=_counted(w.value_fn, counts, "omega"),
+                                   d1_fn=_counted(w.d1_fn, counts, "omega'"))
+    monkeypatch.setattr(boundary_rotation, "make_schwarz", counted_schwarz)
+    psi = boundary_rotation.brannan_transform(phi, 1.0, 2)
+    zs = 0.999 * np.exp(2j * np.pi * np.arange(1000) / 1000)
+    counts.update(dict.fromkeys(counts, 0))
+    got = psi.d2(zs)
+    assert counts == dict.fromkeys(counts, zs.size)
+    lam, eta, mu = 1.0, -1.0 + 0j, np.exp(2j * 0.0)
+    om, om1, p1, p2 = lam * zs ** 2, lam * 2 * zs, H.d1(zs), H.d2(zs)
+    den = 1.0 - eta * om
+    h1 = p1 / den
+    h2 = (p2 * den + eta * om1 * p1) / den ** 2
+    assert np.array_equal(got, h2 - mu * (om1 * h1 + om * h2))
 
 
 def test_analytic_combination_reads_the_pair_once():
