@@ -9,7 +9,7 @@ from .shear import (HarmonicMap, ShearSystem, analytic_combination,
 from .geometry import (BoundaryCurve, ConvexityReport, DirectionalReport,
                        convexity_check, convexity_check_resolved,
                        directional_convexity_check, parabola_residual,
-                       sample_boundary, winding_number)
+                       sample_boundary)
 from .boundary_rotation import (RotationValue, boundary_rotation_value,
                                 brannan_transform, vk_membership)
 from .probe import (FailureWitness, ProbeConfig, ProbeReport, RegionId,
@@ -30,5 +30,5 @@ __all__ = [
     "harmonic_from_analytic", "make_schwarz", "midpoint_certificate",
     "parabola_residual", "probe_admissibility", "rotate_analytic",
     "rotated_counterexample_suite", "sample_boundary", "shear_construct",
-    "vk_membership", "winding_number",
+    "vk_membership",
 ]

@@ -73,6 +73,8 @@ def _add_common(p):
 
 
 def cmd_shear(args) -> int:
+    if not 0.0 < args.r < 1.0:
+        raise ValueError("radius must satisfy 0 < r < 1")
     sys_ = ShearSystem(parse_phi(args.phi), parse_omega(args.omega), parse_eta(args.eta))
     f = shear_construct(sys_)
     theta = np.linspace(0.0, 2.0 * np.pi, args.n, endpoint=False)

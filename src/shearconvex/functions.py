@@ -45,7 +45,7 @@ def require_unimodular(w: complex, name: str = "parameter") -> complex:
     """Renormalize w to exact modulus 1; reject beyond the slack window."""
     w = complex(w)
     m = abs(w)
-    if abs(m - 1.0) > UNIMODULAR_SLACK:
+    if not abs(m - 1.0) <= UNIMODULAR_SLACK:       # NaN fails too
         raise ValueError(f"{name} must be unimodular, got |{name}| = {m!r}")
     return w / m
 
@@ -202,11 +202,14 @@ class BlaschkeOmega:
 
     def __post_init__(self):
         zs = tuple(complex(a) for a in self.zeros)
+        # written as "not <= cap" so that NaN fails every check
         for a in zs:
-            if abs(a) > BLASCHKE_ZERO_CAP:
+            if not abs(a) <= BLASCHKE_ZERO_CAP:
                 raise ValueError(f"Blaschke zero |a| = {abs(a)!r} exceeds cap {BLASCHKE_ZERO_CAP}")
-        if abs(complex(self.scale)) > 1.0 + 1e-12:
+        if not abs(complex(self.scale)) <= 1.0 + 1e-12:
             raise ValueError("Blaschke scale must satisfy |c| <= 1")
+        if not np.isfinite(float(self.phase)):
+            raise ValueError(f"Blaschke phase must be finite, got {self.phase!r}")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "phase", float(self.phase))
         object.__setattr__(self, "scale", complex(self.scale))

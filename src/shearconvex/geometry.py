@@ -6,7 +6,8 @@ Tangents are exact:
     d/dtheta f(r e^{i theta}) = i z h'(z) - i conj(z g'(z)),   z = r e^{i theta}
 
 and never require quadrature; only the positions gamma_j do, so they are
-materialized lazily.
+materialized lazily, through ``HarmonicMap.parts_on_circle`` as every
+dense circle sample is.  The one winding number is in ``probe``, not here.
 
 Convexity of the sampled curve is decided by monotone tangent turning: the
 cyclic sequence of principal turning increments must stay >= -tol and sum to
@@ -57,7 +58,8 @@ class BoundaryCurve:
     @property
     def gamma(self) -> np.ndarray:
         if self._gamma is None:
-            self._gamma = self.f.map_points(self.r * np.exp(1j * self.theta))
+            h, g = self.f.parts_on_circle(self.r, self.theta)
+            self._gamma = h + np.conj(g)
         return self._gamma
 
 
@@ -169,15 +171,6 @@ def directional_convexity_check(curve: BoundaryCurve, t: float) -> DirectionalRe
         return DirectionalReport(float(t), False, 0)
     changes = int((s != np.roll(s, -1)).sum())
     return DirectionalReport(float(t), changes == 2, changes)
-
-
-def winding_number(curve: BoundaryCurve, w: complex) -> int:
-    """Discrete winding of the sampled curve around w."""
-    d = curve.gamma - complex(w)
-    if np.abs(d).min() < 1e-9:
-        raise ValueError("query point lies (numerically) on the curve")
-    total = np.angle(np.roll(d, -1) / d).sum()
-    return int(round(float(total) / (2.0 * np.pi)))
 
 
 def parabola_residual(curve: BoundaryCurve) -> float:

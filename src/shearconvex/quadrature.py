@@ -21,9 +21,9 @@ relative once |I| >~ 4.4.  The relative term matters near the boundary: at
 |z| = 0.999 integrand antiderivatives reach 1e6 and an absolute 1e-12 target
 is below what float64 summation can represent.
 
-Points sampled densely along a circle get F by chaining instead (the
-winding curves of ``probe``; see ``HarmonicMap.parts_on_circle`` for where
-the radial anchors go).  :func:`chord_increments` integrates F' over the
+Points sampled densely along a circle get F by chaining instead (boundary
+and winding curves; see ``HarmonicMap.parts_on_circle`` for where the
+radial anchors go).  :func:`chord_increments` integrates F' over the
 short straight chord between neighbouring samples, which lies inside the
 disk because the disk is convex, with Gauss-Legendre panels of the same
 order and whole-versus-halves bisection; the caller sums the increments
@@ -86,7 +86,7 @@ def antiderivative_many(fprime: Callable, zs, depth0: int = 4) -> np.ndarray:
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
-    if flat.size and np.abs(flat).max() >= 1.0:
+    if not np.all(np.abs(flat) < 1.0):              # NaN fails too
         raise ValueError("antiderivative endpoints must lie in the open unit disk")
     out = np.zeros(flat.shape, dtype=complex)
     todo = np.flatnonzero(flat != 0)

@@ -17,8 +17,8 @@ from one evaluation of the data per point:
 
 so boundary tangents and curvatures downstream never touch quadrature.
 
-Dense samples along a circle (the winding curves) get h by chaining h'
-along chords between neighbouring samples from radial anchors
+Dense samples along a circle (boundary and winding curves) get h by
+chaining h' along chords between neighbouring samples from radial anchors
 (:meth:`HarmonicMap.parts_on_circle`); every scattered point stays radial.
 
 The rotation conj(xi) f(xi z) of the shear of (phi, omega, eta) is the shear

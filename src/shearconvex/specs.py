@@ -173,6 +173,6 @@ DEFAULT_RADII = (0.9, 0.99, 0.999)          # the radius ladder of probes and V_
 
 def parse_radii(spec: str) -> Tuple[float, ...]:
     radii = tuple(sorted(float(s) for s in spec.split(",") if s))
-    if not radii or radii[0] <= 0 or radii[-1] >= 1:
+    if not radii or not all(0 < r < 1 for r in radii):     # NaN fails too
         raise SpecError("radii must lie strictly between 0 and 1")
     return radii

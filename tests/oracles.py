@@ -11,7 +11,9 @@ panel order, keeps its own REL_TOL for the tolerance it hands each half,
 and raises the package's ``ToleranceNotMet`` when bisection stalls.
 
 ``RadialWindingCurves`` is the winding-curve builder with every sample placed
-radially, the reference for the package's chained positions.
+radially, the reference for the package's chained positions, and
+:func:`discrete_winding` is a plain winding sum with none of the package's
+refinement, the reference for its trusted winding.
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ def antiderivative(fprime: Callable, z: complex) -> complex:
     if z == 0:
         return 0.0 + 0.0j
     return integrate_segment(fprime, 0.0, z)
+
+
+def discrete_winding(gamma, w: complex) -> int:
+    """Winding of the closed polyline ``gamma`` around w: the principal
+    angles subtended at w by its steps, summed, in whole turns."""
+    d = np.asarray(gamma, dtype=complex) - complex(w)
+    return int(round(float(np.angle(np.roll(d, -1) / d).sum()) / (2.0 * np.pi)))
 
 
 class RadialWindingCurves(_WindingCurves):

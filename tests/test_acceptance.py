@@ -16,7 +16,7 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
 from shearconvex.geometry import (convexity_check, convexity_check_resolved,
                                   directional_convexity_check,
                                   parabola_residual, sample_boundary,
-                                  turning_increments, winding_number)
+                                  turning_increments)
 from shearconvex.probe import (ProbeConfig, halfplane_strip_identifier,
                                midpoint_certificate, probe_admissibility,
                                rotated_counterexample_suite)
@@ -24,7 +24,7 @@ from shearconvex.quadrature import antiderivative_many
 from shearconvex.shear import (ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
 
-from oracles import integrate_segment
+from oracles import discrete_winding, integrate_segment
 
 LADDER = (0.9, 0.99, 0.999)
 
@@ -86,7 +86,7 @@ def test_criterion_2_f0_suite():
     resid = parabola_residual(sample_boundary(f, 0.9999, 4096))
     curve, rep = convexity_check_resolved(f, 0.99)
     m = midpoint_certificate(f, 0.99, rep.witness)
-    witness_ok = m is not None and winding_number(curve, m) == 0
+    witness_ok = m is not None and discrete_winding(curve.gamma, m) == 0
     ok = (h_err <= 1e-10 and g_err <= 1e-10 and resid <= 5e-3
           and rep.verdict == "NON_CONVEX" and witness_ok)
     _report("2 f0 suite", ok,

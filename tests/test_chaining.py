@@ -5,11 +5,12 @@ import pytest
 
 from shearconvex import quadrature
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import BACKTURN_TOL, convexity_check_resolved
+from shearconvex.geometry import BACKTURN_TOL, convexity_check_resolved, sample_boundary
 from shearconvex.probe import (_WindingCurves, _candidate_midpoints, _extension_radii,
                                _window_anchors)
 from shearconvex.quadrature import chord_increments
-from shearconvex.shear import (CHAIN_STRIDE, ShearSystem, harmonic_from_analytic,
+from shearconvex.shear import (CHAIN_STRIDE, HarmonicMap, ShearSystem,
+                               analytic_combination, harmonic_from_analytic,
                                shear_construct)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_phi
 
@@ -54,6 +55,31 @@ def test_chained_positions_stay_on_the_radial_route(name, r):
     # the stride anchors are the radial values themselves
     z = r * np.exp(1j * theta[::CHAIN_STRIDE])
     assert np.array_equal(hg[:, ::CHAIN_STRIDE], np.stack(f.parts(z)))
+
+
+def test_boundary_curves_take_the_circle_route(monkeypatch):
+    # BoundaryCurve.gamma comes from parts_on_circle and never from
+    # map_points: shears stay within DRIFT of the radial route, and zero-omega
+    # maps (read point by point) are the radial route bit for bit
+    li_shear = shear_construct(ShearSystem(parse_phi("Llambda:re=0.0,im=1.0"),
+                                           make_schwarz(MonomialOmega(-1.0, 1)), -1.0))
+    shears = [sample_boundary(shear_construct(SYSTEMS["f0"]), 0.99, 4096),
+              sample_boundary(shear_construct(SYSTEMS["f0"]), 0.9999, 4096),
+              sample_boundary(shear_construct(SYSTEMS["H, blaschke #27"]), 0.999, 4096)]
+    zero_omega = [sample_boundary(harmonic_from_analytic(phi), 0.999, 4096)
+                  for phi in (H, catalog(CatalogId("KOEBE")),
+                              analytic_combination(li_shear, 0.0))]
+    radial = [c.f.map_points(c.r * np.exp(1j * c.theta)) for c in shears + zero_omega]
+
+    def refuse(self, zs):
+        raise AssertionError("a boundary curve placed its points radially")
+    monkeypatch.setattr(HarmonicMap, "map_points", refuse)
+    for c, ref in zip(shears, radial):
+        hg = c.f.parts_on_circle(c.r, c.theta)
+        assert np.array_equal(c.gamma, hg[0] + np.conj(hg[1]))
+        assert (np.abs(c.gamma - ref) / np.maximum(1.0, np.abs(ref))).max() <= DRIFT
+    for c, ref in zip(zero_omega, radial[len(shears):]):
+        assert np.array_equal(c.gamma, ref)
 
 
 @pytest.mark.parametrize("shape", [(1,), (300,), (3, 1), (3, 200)])

@@ -171,6 +171,27 @@ def test_an_empty_family_is_refused(capsys, family):
     assert "expands to no dilatation" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--phi", "H", "--eta=nan,0", "--family", "explicit:monomial:N=1", "--radii", "0.9"],
+    ["--phi", "Llambda:re=nan,im=nan", "--eta=-1,0", "--family", "explicit:monomial:N=1"],
+    ["--phi", "H", "--eta=-1,0",
+     "--family", "explicit:blaschke-explicit:zeros=0.3+0j,scale_re=nan"],
+    ["--phi", "H", "--eta=-1,0", "--family", "explicit:monomial:N=1", "--radii", "nan"]])
+def test_a_nan_parameter_never_passes_as_no_failure_found(capsys, argv):
+    code, out, _ = run(capsys, "probe", *argv)
+    assert code == 1
+    assert '"summary": "NO_FAILURE_FOUND"' not in out
+
+
+@pytest.mark.parametrize("r", ["1.5", "nan", "0", "-0.5"])
+@pytest.mark.parametrize("omega", ["zero", "monomial:N=1"])
+def test_shear_refuses_a_radius_outside_the_disk(capsys, omega, r):
+    code, out, err = run(capsys, "shear", "--phi", "H", "--omega", omega, "--eta=1,0",
+                         "--r", r, "--n", "4")
+    assert code == 1 and out == ""
+    assert "0 < r < 1" in err
+
+
 def test_unknown_case_exits_one(capsys):
     code, _, err = run(capsys, "reproduce", "--case", "bogus")
     assert code == 1

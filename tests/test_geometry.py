@@ -6,10 +6,12 @@ from shearconvex.geometry import (convexity_check,
                                   convexity_check_resolved,
                                   directional_convexity_check,
                                   parabola_residual, sample_boundary,
-                                  turning_increments, verdict_from_increments,
-                                  winding_number)
+                                  turning_increments, verdict_from_increments)
+from shearconvex.probe import _WindingCurves
 from shearconvex.shear import ShearSystem, harmonic_from_analytic, shear_construct
 from shearconvex.specs import parse_phi
+
+from oracles import discrete_winding
 
 IDENTITY = harmonic_from_analytic(catalog(CatalogId("IDENTITY")))
 H_MAP = harmonic_from_analytic(catalog(CatalogId("H")))
@@ -96,14 +98,13 @@ def test_koebe_directions_at_0999():
 
 
 def test_winding_number_basics():
-    c = sample_boundary(IDENTITY, 0.5, 256)
-    assert winding_number(c, 0.0) == 1
-    assert winding_number(c, 1.0) == 0
-    assert winding_number(c, 0.0) == 1
-    far = 2.0 * np.abs(c.gamma).max()
-    assert winding_number(c, far + 1j * far) == 0
-    with pytest.raises(ValueError):
-        winding_number(c, c.gamma[3])
+    # the package's one winding routine, on the circle of radius 0.5
+    curves = _WindingCurves(IDENTITY)
+    assert curves.winding(0.0, 0.5) == 1
+    assert curves.winding(1.0, 0.5) == 0
+    assert curves.winding(0.0, 0.5) == 1
+    assert curves.winding(1.0 + 1.0j, 0.5) == 0
+    assert curves.winding(0.5j, 0.5) is None       # a sample of the curve itself
 
 
 def test_f0_midpoint_escape_witness(f0):
@@ -113,8 +114,8 @@ def test_f0_midpoint_escape_witness(f0):
     assert m.real == pytest.approx(-0.49979598082432, abs=1e-10)
     assert abs(m.imag) < 1e-12
     c = sample_boundary(f0, 0.99, 4096)
-    assert winding_number(c, m) == 0
-    assert winding_number(c, 0.0) == 1
+    assert discrete_winding(c.gamma, m) == 0
+    assert discrete_winding(c.gamma, 0.0) == 1
 
 
 def test_parabola_residual_ladder(f0):

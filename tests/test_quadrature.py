@@ -68,6 +68,8 @@ def test_segment_outside_disk_rejected():
         integrate_segment(H.d1, 0.0, 1.2)
     with pytest.raises(ValueError):
         antiderivative_many(H.d1, np.array([0.5, 1.0 + 0j]))
+    with pytest.raises(ValueError):        # refused at once, not after 40 levels
+        antiderivative_many(H.d1, np.array([0.5, complex(np.nan, 0.0)]))
 
 
 def test_tolerance_not_met_on_interior_pole():

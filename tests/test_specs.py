@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shearconvex.shear import ShearSystem
 from shearconvex.specs import (DEFAULT_FAMILY, SpecError, blaschke_from_seed,
                                family_from_spec, parse_eta, parse_omega,
                                parse_phi, parse_radii)
@@ -54,6 +55,26 @@ def test_radii_parse():
     assert parse_radii("0.9,0.99") == (0.9, 0.99)
     with pytest.raises(SpecError):
         parse_radii("0.5,1.0")
+
+
+def test_nan_specs_raise():
+    # NaN compares False with every bound, so each check is written to fail it
+    with pytest.raises(ValueError):
+        parse_phi("Llambda:re=nan,im=nan")
+    with pytest.raises(ValueError):
+        parse_omega("blaschke-explicit:zeros=nan+0j")
+    with pytest.raises(ValueError):
+        parse_omega("blaschke-explicit:zeros=0.3+0j,scale_re=nan")
+    with pytest.raises(ValueError):
+        parse_omega("blaschke-explicit:zeros=0.3+0j,phase=nan")
+    with pytest.raises(SpecError):
+        parse_radii("nan")
+    with pytest.raises(SpecError):
+        parse_radii("0.9,nan")
+    with pytest.raises(ValueError):
+        parse_omega("monomial:lam_re=nan")
+    with pytest.raises(ValueError):
+        ShearSystem(parse_phi("H"), parse_omega("monomial:N=1"), parse_eta("nan,0"))
 
 
 def test_bad_specs_raise():
