@@ -66,6 +66,13 @@ def _precision(text: str) -> int:
     return digits
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--precision", type=_precision, default=12,
@@ -75,6 +82,8 @@ def _add_common(p):
 def cmd_shear(args) -> int:
     if not 0.0 < args.r < 1.0:
         raise ValueError("radius must satisfy 0 < r < 1")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, not {args.n}")
     sys_ = ShearSystem(parse_phi(args.phi), parse_omega(args.omega), parse_eta(args.eta))
     f = shear_construct(sys_)
     theta = np.linspace(0.0, 2.0 * np.pi, args.n, endpoint=False)
@@ -204,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="-1,0")
     p.add_argument("--r", type=float, default=0.99)
     p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--direction", type=float, default=None)
+    p.add_argument("--direction", type=_finite, default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--parabola-overlay", action="store_true")
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vk", help="boundary-rotation values and V_k membership")
     p.add_argument("--phi", required=True)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--radii", default=RADII_ARG)
     _add_common(p)
     p.set_defaults(fn=cmd_vk)

@@ -60,10 +60,10 @@ class _WindingCurves:
     pole's excursion ends), which agrees with the radial route to about
     1e-11 relative, and g solved from h; the winding is an integer, so that
     moves no verdict.  Each radius caches its (h, g), the curve and the
-    chord lengths between neighbours.  Refinements accumulate: the new
-    samples inside a bad step are chained from the h at its left end, and
-    once a thin pocket forced extra samples at some radius, later queries
-    reuse them.
+    chord lengths between neighbours.  Refinements accumulate: one round
+    refines the union of the bad steps of every unsettled point of a batch,
+    the new samples inside a bad step are chained from the h at its left
+    end, and later batches at that radius reuse them.
     """
 
     def __init__(self, f: HarmonicMap):
@@ -85,6 +85,9 @@ class _WindingCurves:
         return got
 
     def _refine(self, r: float, theta, gamma, bad):
+        """Split each bad step into 8; return the new theta and gamma, and
+        where each new sample came from: an index below ``theta.size`` is
+        that old sample, a larger one a new sample."""
         hg = self._curves[r][2]
         widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
         steps = theta[bad, None] + widths[bad, None] * (np.arange(8) / 8.0)[None, :]
@@ -93,36 +96,69 @@ class _WindingCurves:
         hg = np.concatenate([hg, new_hg.reshape(2, -1)], axis=1)
         order = np.argsort(theta)
         theta, gamma = self._store(r, theta[order], hg[:, order])[:2]
-        return theta, gamma
+        return theta, gamma, order
 
-    def winding(self, m: complex, r: float) -> Optional[int]:
-        """Winding of the radius-r image curve around m, or None if untrustable.
+    def winding(self, points: Sequence[complex], r: float) -> List[Optional[int]]:
+        """Winding of the radius-r image curve around each point, in input
+        order; None where it is untrustable.
 
         Two failure modes of the discrete sum are handled by local
         subdivision: a step subtending an angle near pi at the query point
         (hairline pockets), and a step whose chord is comparable to the
         distance from the query point (the curve can excursion around m and
         back between such samples, hiding a full turn from the principal
-        value).  Since the maps probed here are univalent their curves are
+        value).  Each round judges the steps of every unsettled point at
+        once; a point without a bad step settles, and the union of the
+        others' bad steps is refined in one call.  A step that refinement
+        left alone keeps its endpoints, its angle and its verdict, so later
+        rounds judge only the steps that refinement made.  A point on the
+        curve, a batch whose refinement would exceed ``WINDING_SAMPLES_MAX``
+        and a point still unsettled after ``WINDING_MAX_ROUNDS`` rounds give
+        None.  Since the maps probed here are univalent their curves are
         Jordan; any winding outside {0, 1} is reported as untrustable.
         """
+        m = np.array(points, dtype=complex).reshape(-1)
+        out: List[Optional[int]] = [None] * m.size
+        live = np.arange(m.size)
+        kept = np.zeros(m.size)          # arg sum over the steps no longer judged
         theta, gamma, _, chord = self._base(r)
+        steps = np.arange(theta.size)    # the steps to judge, by their first sample
         for _ in range(WINDING_MAX_ROUNDS):
-            d = gamma - m
-            dist = np.abs(d)
-            if dist.min() < 1e-9 * (1.0 + abs(m)):
-                return None
-            darg = np.angle(np.roll(d, -1) / d)
+            d0 = gamma[steps] - m[live, None]
+            d1 = gamma[(steps + 1) % theta.size] - m[live, None]
+            dist0, dist1 = np.abs(d0), np.abs(d1)
+            off = dist0.min(axis=1) >= 1e-9 * (1.0 + np.abs(m[live]))
+            if not off.all():
+                live, d0, d1, dist0, dist1 = (a[off] for a in (live, d0, d1, dist0, dist1))
+            darg = np.angle(d1 / d0)
             bad = (np.abs(darg) > MAX_TRUSTED_ARG_STEP) \
-                | (chord > 0.5 * np.minimum(dist, np.roll(dist, -1)))
-            if not bad.any():
-                w = int(round(float(darg.sum()) / (2.0 * np.pi)))
-                return w if w in (0, 1) else None
-            if theta.size + 7 * int(bad.sum()) > WINDING_SAMPLES_MAX:
-                return None
-            theta, gamma = self._refine(r, theta, gamma, bad)
+                | (chord[steps] > 0.5 * np.minimum(dist0, dist1))
+            settled = ~bad.any(axis=1)
+            turns = np.round((kept[live[settled]] + darg[settled].sum(axis=1)) / (2.0 * np.pi))
+            for i, w in zip(live[settled], turns):
+                out[i] = int(w) if w in (0, 1) else None
+            live, darg, bad = live[~settled], darg[~settled], bad[~settled]
+            if not live.size:
+                break
+            union = bad.any(axis=0)
+            if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
+                break
+            kept[live] += np.where(union, 0.0, darg).sum(axis=1)
+            n_old = theta.size
+            refine = np.zeros(n_old, dtype=bool)
+            refine[steps[union]] = True
+            theta, gamma, src = self._refine(r, theta, gamma, refine)
             chord = self._curves[r][3]
-        return None
+            # a step is unchanged when it joins two old samples that were
+            # neighbours across a step left alone
+            unchanged = (src < n_old) & (np.roll(src, -1) == (src + 1) % n_old)
+            unchanged[unchanged] = ~refine[src[unchanged]]
+            if unchanged.sum() == n_old - refine.sum():
+                steps = np.flatnonzero(~unchanged)
+            else:                        # a new sample fell outside its step
+                steps = np.arange(theta.size)
+                kept[live] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -293,11 +329,9 @@ def midpoint_certificate(f: HarmonicMap, r: float,
     """First chord midpoint near the reversal window that escapes the curve."""
     a, b = theta_window
     mid = (a + ((b - a) % (2.0 * np.pi)) / 2.0) % (2.0 * np.pi)
-    curves = _WindingCurves(f)
-    for m in _candidate_midpoints(f, r, [mid]):
-        if curves.winding(m, r) == 0:
-            return m
-    return None
+    candidates = [m for m in _candidate_midpoints(f, r, [mid])]
+    windings = _WindingCurves(f).winding(candidates, r)
+    return next((m for m, w in zip(candidates, windings) if w == 0), None)
 
 
 def _onset_radius(f: HarmonicMap, r_fail: float, r_floor: Optional[float]) -> float:
@@ -324,7 +358,11 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     every larger ladder radius, stay outside at two extension radii pushed
     toward |z| = 1, and defeat a Newton preimage search.  Hereditary pockets
     fail the winding gates (the growing image absorbs them); chords spanning
-    the image's unbounded end fail the preimage gate.
+    the image's unbounded end fail the preimage gate.  All candidates of one
+    anchor radius go through the winding gates together, one batch per
+    radius from the outermost in, each batch holding only the survivors of
+    the last; Newton then takes the survivors in candidate order.  The search
+    ends at the first anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
     curves = _WindingCurves(f)
@@ -334,9 +372,12 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
         anchors = _window_anchors(reports[r_anchor])
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
         probe_order = sorted(higher, reverse=True)
-        for m in _candidate_midpoints(f, r_anchor, anchors):
-            if not all(curves.winding(m, r) == 0 for r in probe_order):
-                continue
+        survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
+        for r in probe_order:
+            if survivors:
+                windings = curves.winding(survivors, r)
+                survivors = [m for m, w in zip(survivors, windings) if w == 0]
+        for m in survivors:
             if newton_preimage(f, m, anchors) is None:
                 return r_anchor, m, higher
     return None

@@ -11,9 +11,11 @@ panel order, keeps its own REL_TOL for the tolerance it hands each half,
 and raises the package's ``ToleranceNotMet`` when bisection stalls.
 
 ``RadialWindingCurves`` is the winding-curve builder with every sample placed
-radially, the reference for the package's chained positions, and
+radially, the reference for the package's chained positions;
 :func:`discrete_winding` is a plain winding sum with none of the package's
-refinement, the reference for its trusted winding.
+refinement, the reference for its trusted winding; and
+:func:`full_round_winding` is the package's batched winding with every step
+judged afresh in every round, the reference for its incremental rounds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from shearconvex.probe import WINDING_SAMPLES, _WindingCurves
+from shearconvex.probe import (MAX_TRUSTED_ARG_STEP, WINDING_MAX_ROUNDS, WINDING_SAMPLES,
+                               WINDING_SAMPLES_MAX, _WindingCurves)
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
 
 REL_TOL = 1e-14                 # relative floor of the recursive halving of tol
@@ -86,6 +89,40 @@ def discrete_winding(gamma, w: complex) -> int:
     return int(round(float(np.angle(np.roll(d, -1) / d).sum()) / (2.0 * np.pi)))
 
 
+def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> list:
+    """``curves.winding(points, r)`` with each round judging every step of
+    the curve for every unsettled point, and the same refinements.  Each
+    settled point's argument sum, in turns, is appended to ``sums`` if given,
+    in the order the points settle."""
+    m = np.array(points, dtype=complex).reshape(-1)
+    out = [None] * m.size
+    live = np.arange(m.size)
+    theta, gamma, _, chord = curves._base(r)
+    for _ in range(WINDING_MAX_ROUNDS):
+        d = gamma[None, :] - m[live, None]
+        dist = np.abs(d)
+        off = dist.min(axis=1) >= 1e-9 * (1.0 + np.abs(m[live]))
+        live, d, dist = live[off], d[off], dist[off]
+        darg = np.angle(np.roll(d, -1, axis=1) / d)
+        bad = (np.abs(darg) > MAX_TRUSTED_ARG_STEP) \
+            | (chord > 0.5 * np.minimum(dist, np.roll(dist, -1, axis=1)))
+        settled = ~bad.any(axis=1)
+        for i, turns in zip(live[settled], darg[settled].sum(axis=1) / (2.0 * np.pi)):
+            if sums is not None:
+                sums.append(float(turns))
+            w = int(round(float(turns)))
+            out[i] = w if w in (0, 1) else None
+        live, bad = live[~settled], bad[~settled]
+        if not live.size:
+            break
+        union = bad.any(axis=0)
+        if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
+            break
+        theta, gamma = curves._refine(r, theta, gamma, union)[:2]
+        chord = curves._curves[r][3]
+    return out
+
+
 class RadialWindingCurves(_WindingCurves):
     """``_WindingCurves`` with every sample placed by its own radial quadrature.
 
@@ -111,4 +148,4 @@ class RadialWindingCurves(_WindingCurves):
         theta = np.concatenate([theta, new_theta])
         hg = np.concatenate([self._curves[r][2], new_hg], axis=1)
         order = np.argsort(theta)
-        return self._store(r, theta[order], hg[:, order])[:2]
+        return self._store(r, theta[order], hg[:, order])[:2] + (order,)

@@ -1,8 +1,11 @@
 """Circle samples chained along chords against the radial route."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import shearconvex.probe
 from shearconvex import quadrature
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
 from shearconvex.geometry import BACKTURN_TOL, convexity_check_resolved, sample_boundary
@@ -14,7 +17,7 @@ from shearconvex.shear import (CHAIN_STRIDE, HarmonicMap, ShearSystem,
                                shear_construct)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_phi
 
-from oracles import RadialWindingCurves
+from oracles import RadialWindingCurves, full_round_winding
 
 DRIFT = 1e-11                   # relative to max(1, |radial|), as the f0 pin
 LADDER = (0.9, 0.99, 0.999)     # the sweep workloads' ladder
@@ -118,7 +121,7 @@ def test_refined_subpoints_on_a_pole_step(name):
     for _ in range(3):
         gap = np.abs(np.angle(np.exp(1j * (theta - pole))))
         bad = gap <= np.sort(gap)[3]
-        theta, gamma = curves._refine(r, theta, gamma, bad)
+        theta, gamma, _ = curves._refine(r, theta, gamma, bad)
     assert theta.size == 2048 + 7 * 4 * 3
     hg = curves._curves[r][2]
     assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
@@ -146,17 +149,17 @@ def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
 
 
 def _witness_queries(f):
-    """Every (candidate, radius) winding query of a witness search of f, with
-    no early exit: all candidates of every suspicious ladder radius at every
-    larger ladder radius and at both extension radii."""
+    """Every (candidates, radius) winding batch of a witness search of f, with
+    no early exit: all candidates of each suspicious ladder radius, as one
+    batch at every larger ladder radius and at both extension radii."""
     reports = {r: convexity_check_resolved(f, r)[1] for r in LADDER}
     queries = []
     for r_anchor in reversed([r for r in LADDER
                               if reports[r].worst_backturn > 10.0 * BACKTURN_TOL]):
         higher = sorted(tuple(r for r in LADDER if r > r_anchor)
                         + _extension_radii(LADDER[-1]), reverse=True)
-        for m in _candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])):
-            queries.extend((m, r) for r in higher)
+        batch = list(_candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])))
+        queries.extend((batch, r) for r in higher)
     return queries
 
 
@@ -164,10 +167,11 @@ def _witness_queries(f):
 def test_winding_parity_with_radial_positions(name):
     f = shear_construct(SYSTEMS[name])
     queries = _witness_queries(f)
-    assert len(queries) >= 100
+    assert sum(len(batch) for batch, _ in queries) >= 100
     chained, radial = _WindingCurves(f), RadialWindingCurves(f)
-    got = [chained.winding(m, r) for m, r in queries]
-    assert got == [radial.winding(m, r) for m, r in queries]
+    got = [chained.winding(batch, r) for batch, r in queries]
+    assert got == [radial.winding(batch, r) for batch, r in queries]
+    got = [w for ws in got for w in ws]
     assert 1 in got and (0 in got) == name.startswith("H@rot")
     refined = 0
     for r in radial._curves:       # the same steps were refined
@@ -176,12 +180,49 @@ def test_winding_parity_with_radial_positions(name):
     assert refined > 0
 
 
+class _StrayWindingCurves(_WindingCurves):
+    """Refines the step after one of the steps asked for instead of it: that
+    step's new samples fall outside every step the winding refined, and the
+    step it asked for stays whole."""
+
+    def _refine(self, r, theta, gamma, bad):
+        j = np.flatnonzero(bad & ~np.roll(bad, -1))[0]
+        stray = bad.copy()
+        stray[j], stray[(j + 1) % bad.size] = False, True
+        return super()._refine(r, theta, gamma, stray)
+
+
+@pytest.mark.parametrize("curves", [_WindingCurves, _StrayWindingCurves])
+@pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z"])
+def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
+    # later rounds judge only the steps refinement made; judging every step
+    # in every round gives the same windings from the same refinements, and
+    # the same argument sums before they are rounded
+    f = shear_construct(SYSTEMS[name])
+    queries = _witness_queries(f)
+    fast, full = curves(f), curves(f)
+    fast_sums, full_sums = [], []
+
+    def recording_round(x, *a, **k):
+        fast_sums.extend(np.ravel(x))
+        return np.round(x, *a, **k)
+    monkeypatch.setattr(shearconvex.probe, "np",
+                        SimpleNamespace(**{**vars(np), "round": recording_round}))
+    got = [fast.winding(batch, r) for batch, r in queries]
+    monkeypatch.undo()
+    assert got == [full_round_winding(full, batch, r, full_sums) for batch, r in queries]
+    assert np.allclose(fast_sums, full_sums, rtol=0.0, atol=1e-9)
+    for r in full._curves:
+        assert np.array_equal(fast._curves[r][0], full._curves[r][0])
+    assert sum(c[0].size for c in full._curves.values()) > 2048 * len(full._curves)
+
+
 def test_cached_chords_follow_refinement():
     f = shear_construct(SYSTEMS["H, blaschke #27"])
     curves = _WindingCurves(f)
     theta, gamma = curves._base(0.999)[:2]
     bad = np.zeros(theta.size, dtype=bool)
     bad[[0, 5, -1]] = True
-    theta, gamma = curves._refine(0.999, theta, gamma, bad)
+    theta, gamma, _ = curves._refine(0.999, theta, gamma, bad)
     chord = curves._curves[0.999][3]
     assert np.array_equal(chord, np.abs(np.roll(gamma, -1) - gamma))

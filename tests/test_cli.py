@@ -192,6 +192,25 @@ def test_shear_refuses_a_radius_outside_the_disk(capsys, omega, r):
     assert "0 < r < 1" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["vk", "--phi", "H", "--k", "nan"], "--k"),
+    (["vk", "--phi", "H", "--k", "inf"], "--k"),
+    (["convexity", "--phi", "H", "--n", "64", "--direction", "nan"], "--direction")],
+    ids=["vk-k-nan", "vk-k-inf", "convexity-direction-nan"])
+def test_a_number_that_is_not_finite_is_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{flag}: must be a finite number" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_shear_refuses_fewer_than_one_sample(capsys, n):
+    code, out, err = run(capsys, "shear", "--phi", "H", "--omega", "zero", "--eta=1,0",
+                         "--n", n)
+    assert code == 1 and out == ""
+    assert "--n must be at least 1" in err
+
+
 def test_unknown_case_exits_one(capsys):
     code, _, err = run(capsys, "reproduce", "--case", "bogus")
     assert code == 1

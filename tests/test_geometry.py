@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,19 @@ def test_koebe_directions_at_0999():
 
 
 def test_winding_number_basics():
-    # the package's one winding routine, on the circle of radius 0.5
-    curves = _WindingCurves(IDENTITY)
-    assert curves.winding(0.0, 0.5) == 1
-    assert curves.winding(1.0, 0.5) == 0
-    assert curves.winding(0.0, 0.5) == 1
-    assert curves.winding(1.0 + 1.0j, 0.5) == 0
-    assert curves.winding(0.5j, 0.5) is None       # a sample of the curve itself
+    # the package's one winding routine, on the circle of radius 0.5: one
+    # mixed batch answers in input order, as one-point batches on fresh
+    # curves do; 0.5 is the curve's sample at theta = 0 exactly, which is
+    # set aside before its zero distance is divided by
+    batch = [0.0, 1.0, 0.5, 100.0 + 100.0j]     # inside, outside, on, far outside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curves = _WindingCurves(IDENTITY)
+        got = curves.winding(batch, 0.5)
+        alone = [_WindingCurves(IDENTITY).winding([m], 0.5)[0] for m in batch]
+        assert curves.winding([], 0.5) == []
+    assert got == [1, 0, None, 0]
+    assert alone == got
 
 
 def test_f0_midpoint_escape_witness(f0):

@@ -8,7 +8,7 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.geometry import (TURNING_SAMPLES, convexity_check_resolved,
                                   directional_convexity_check, sample_boundary)
-from shearconvex.probe import (ProbeConfig, _WindingCurves,
+from shearconvex.probe import (NEWTON_TOL, ProbeConfig, _WindingCurves,
                                halfplane_strip_identifier, midpoint_certificate,
                                newton_preimage, probe_admissibility)
 from shearconvex.quadrature import ToleranceNotMet
@@ -45,7 +45,7 @@ def test_failure_witness_is_reproducible(f0_report):
     assert check.verdict == "NON_CONVEX"
     # the certificate midpoint stays outside at every recorded radius
     for r in w.persists_at:
-        assert _WindingCurves(f).winding(w.midpoint, r) == 0
+        assert _WindingCurves(f).winding([w.midpoint], r) == [0]
     assert newton_preimage(f, w.midpoint) is None
 
 
@@ -118,6 +118,29 @@ def test_newton_preimage_finds_interior_points():
     z = newton_preimage(f, w)
     assert z is not None
     assert abs(f.map_points(z) - w) < 1e-7
+
+
+def test_a_false_winding_zero_is_refused_by_newton(monkeypatch):
+    # ROADMAP item 5's second false zero: for H with omega = -z^2 at eta = -1
+    # the batched winding gates take m ~ 299.93 - 147035.58i as outside at
+    # every larger radius, yet f(z) = m at |z| ~ 0.99909.  Until the winding
+    # gate is sound, the Newton gate alone keeps this m from a FAILURE.
+    seen = []
+
+    def recording_newton(f, m, anchors=()):
+        z = newton_preimage(f, m, anchors)
+        seen.append((f, m, z))
+        return z
+    monkeypatch.setattr(shearconvex.probe, "newton_preimage", recording_newton)
+    rep = probe_admissibility(ProbeConfig(
+        phi_spec="H", eta=-1.0 + 0.0j,
+        family_spec="explicit:monomial:lam_re=-1.0,lam_im=1.2246467991473532e-16,N=2"))
+    assert rep.summary == "NO_FAILURE_FOUND"
+    assert len(seen) == 1
+    f, m, z = seen[0]
+    assert m == pytest.approx(299.93 - 147035.58j, abs=0.01)
+    assert z is not None and abs(z) == pytest.approx(0.99909, abs=1e-5)
+    assert abs(f.map_points(z) - m) <= NEWTON_TOL * (1.0 + abs(m))
 
 
 def test_midpoint_certificate_for_f0():
