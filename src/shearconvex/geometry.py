@@ -26,6 +26,7 @@ INCONCLUSIVE rather than a guess.  Callers escalate the sample count; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -63,13 +64,22 @@ class BoundaryCurve:
         return self._gamma
 
 
+@lru_cache(maxsize=8)
+def _unit_circle(n: int):
+    """Read-only (theta, e^{i theta}) at n uniform angles, shared by every curve."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    u = np.exp(1j * theta)
+    theta.flags.writeable = u.flags.writeable = False
+    return theta, u
+
+
 def sample_boundary(f: HarmonicMap, r: float, n: int) -> BoundaryCurve:
     if not 0.0 < r < 1.0:
         raise ValueError("radius must satisfy 0 < r < 1")
     if n < 64:
         raise ValueError("need at least 64 samples")
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    z = r * np.exp(1j * theta)
+    theta, u = _unit_circle(int(n))
+    z = r * u
     h1, g1 = f.derivatives(z)
     tangent = 1j * z * h1 - 1j * np.conj(z * g1)
     return BoundaryCurve(f, r, n, theta, tangent)
@@ -141,9 +151,9 @@ def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = TURNING_SAMPLES
     n = n0
     while True:
         curve = sample_boundary(f, r, n)
-        rep = convexity_check(curve)
-        if rep.max_step <= MAX_TRUSTED_STEP or n >= TURNING_SAMPLES_MAX:
-            return curve, rep
+        inc = turning_increments(curve.tangent)
+        if n >= TURNING_SAMPLES_MAX or np.abs(inc).max() <= MAX_TRUSTED_STEP:
+            return curve, verdict_from_increments(inc, curve.theta)
         n = min(4 * n, TURNING_SAMPLES_MAX)
 
 

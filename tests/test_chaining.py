@@ -129,9 +129,10 @@ def test_refined_subpoints_on_a_pole_step(name):
 
 
 def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
-    # with one bisection level the step climbing into H's pole at r = 0.9999
-    # cannot converge; it climbs, so only the cap makes its end an anchor,
-    # and that end must be the radial value bit for bit
+    # with one bisection level two steps at H's pole at r = 0.9999 cannot
+    # converge: one climbs into the pole by more than 8x, so only the cap makes
+    # its end an anchor, and one descends out of it; every capped end must be
+    # the radial value bit for bit
     monkeypatch.setattr(quadrature, "CHORD_LEVELS", 1)
     f = shear_construct(SYSTEMS["H, blaschke #27"])
     r = 0.9999
@@ -142,7 +143,7 @@ def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
     block, step = np.nonzero(~ok)
     after = block * CHAIN_STRIDE + step + 1
     ref = np.stack(f.parts(z))
-    assert after.size and (np.abs(ref[0, after]) > 8.0 * np.abs(ref[0, after - 1])).all()
+    assert after.size and (np.abs(ref[0, after]) > 8.0 * np.abs(ref[0, after - 1])).any()
     hg = f.parts_on_circle(r, theta)
     assert np.array_equal(hg[:, after], ref[:, after])
     assert _drift(f, r, theta, hg) <= DRIFT

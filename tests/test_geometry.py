@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from shearconvex import geometry
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import (convexity_check,
+from shearconvex.geometry import (MAX_TRUSTED_STEP, TURNING_SAMPLES, TURNING_SAMPLES_MAX,
+                                  convexity_check,
                                   convexity_check_resolved,
                                   directional_convexity_check,
                                   parabola_residual, sample_boundary,
@@ -178,3 +180,48 @@ def test_sample_boundary_validation():
         sample_boundary(IDENTITY, 1.0, 256)
     with pytest.raises(ValueError):
         sample_boundary(IDENTITY, 0.5, 32)
+
+
+def test_unit_circle_tables_are_shared_read_only_and_bounded():
+    c = sample_boundary(IDENTITY, 0.5, 4096)
+    theta, u = geometry._unit_circle(4096)
+    assert c.theta is theta
+    assert not theta.flags.writeable and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    maxsize = geometry._unit_circle.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(64, 64 + maxsize + 3):
+        sample_boundary(IDENTITY, 0.5, n)
+    assert geometry._unit_circle.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("n", [4096, 16384, 65536])
+def test_tangents_equal_the_direct_evaluation(f0, n):
+    # the shared table e^{i theta} scaled by r is the circle point itself
+    r = 0.999
+    c = sample_boundary(f0, r, n)
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    z = r * np.exp(1j * theta)
+    h1, g1 = f0.derivatives(z)
+    assert np.array_equal(c.theta, theta)
+    assert np.array_equal(c.tangent, 1j * z * h1 - 1j * np.conj(z * g1))
+
+
+def test_resolved_check_matches_the_rung_by_rung_loop():
+    # H@rot with omega = -xi z at r = 0.999 escalates to the last rung; the
+    # escalating rungs judge only their largest step
+    xi = complex(np.exp(1.3231j))
+    f = shear_construct(ShearSystem(parse_phi(f"H@rot:re={xi.real!r},im={xi.imag!r}"),
+                                    make_schwarz(MonomialOmega(-xi, 1)), -1.0))
+    n = TURNING_SAMPLES
+    while True:
+        ref_curve = sample_boundary(f, 0.999, n)
+        ref = convexity_check(ref_curve)
+        if ref.max_step <= MAX_TRUSTED_STEP or n >= TURNING_SAMPLES_MAX:
+            break
+        n = min(4 * n, TURNING_SAMPLES_MAX)
+    assert n == TURNING_SAMPLES_MAX
+    curve, rep = convexity_check_resolved(f, 0.999)
+    assert rep == ref and curve.n == n
+    assert np.array_equal(curve.tangent, ref_curve.tangent)

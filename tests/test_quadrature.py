@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shearconvex import quadrature
 from shearconvex.functions import CatalogId, catalog
-from shearconvex.quadrature import (ABS_TOL, ToleranceNotMet, _converged,
+from shearconvex.quadrature import (ABS_TOL, ORDER, ToleranceNotMet, _converged,
                                     antiderivative_many, chord_increments)
+from shearconvex.shear import ShearSystem
+from shearconvex.specs import DEFAULT_FAMILY, family_from_spec
 
 from oracles import antiderivative, integrate_segment
 
@@ -92,6 +95,40 @@ def test_batch_agrees_with_scalar():
     assert np.abs(batch - ref).max() < 1e-11
 
 
+@pytest.mark.parametrize("index", [0, 27, 60, 73])
+def test_batch_values_equal_single_point_values_bit_for_bit(index):
+    # each endpoint is frozen at its own depth from its own panels, so a
+    # batch gives every point exactly what a call for that point alone gives
+    h_prime = ShearSystem(H, family_from_spec(DEFAULT_FAMILY)[index], -1.0).h_prime
+    rng = np.random.default_rng(index)
+    zs = 0.999 * np.sqrt(rng.uniform(size=37)) * np.exp(2j * np.pi * rng.uniform(size=37))
+    batch = antiderivative_many(h_prime, zs)
+    assert np.array_equal(batch, [antiderivative_many(h_prime, z) for z in zs])
+
+
+def test_one_integrand_call_per_grading_level():
+    # the first call holds the depth0 head panels, the first estimate and the
+    # first level; every later call is one level, two panels per endpoint
+    # still refining, and no level is evaluated ahead of its test
+    sizes = []
+
+    def counted(fprime):
+        def integrand(x):
+            sizes.append(x.size)
+            return fprime(x)
+        return integrand
+    antiderivative_many(counted(H.d1), np.array([0.3, 0.9, 0.999]))
+    assert sizes[0] == 3 * (4 + 3) * ORDER
+    refining = [n // (2 * ORDER) for n in sizes[1:]]
+    assert len(refining) > 2 and all(n % (2 * ORDER) == 0 for n in sizes[1:])
+    assert refining == sorted(refining, reverse=True) and refining[-1] == 1
+    # a stalled endpoint is given up at MAX_DEPTH: one call, then one per level
+    sizes.clear()
+    with pytest.raises(ToleranceNotMet):
+        antiderivative_many(counted(lambda z: 1.0 / (0.9 - z)), [0.9])
+    assert len(sizes) == 1 + quadrature.MAX_DEPTH - (4 + 1)
+
+
 def test_batch_near_boundary_accuracy():
     zs = 0.999 * np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     got = antiderivative_many(K.d1, zs)
@@ -126,6 +163,22 @@ def test_chord_increments_match_closed_forms(r):
         exact = F.value(zs[:, 1:]) - F.value(zs[:, :-1])
         scale = np.maximum(1.0, np.maximum(np.abs(exact), np.abs(F.value(zs[:, :-1]))))
         assert (np.abs(incr - exact) / scale).max() <= 1e-12
+
+
+def test_kronrod_table():
+    # QUADPACK's qk15 mapped to [0, 1]: K15 integrates t^k exactly for
+    # k <= 22, and its embedded G7 rule is leggauss(7) under the same map
+    t, wk, wg = quadrature._K15_T, quadrature._K15_WT, quadrature._G7_WT
+    assert t.shape == wk.shape == wg.shape == (15,) and (np.diff(t) > 0).all()
+    for k in range(23):
+        assert abs((wk * t ** k).sum() - 1.0 / (k + 1)) <= 1e-15
+    x, w = np.polynomial.legendre.leggauss(7)
+    gauss = wg != 0
+    assert gauss.sum() == 7
+    assert np.abs(t[gauss] - (1.0 + x) / 2.0).max() <= 1e-15
+    assert np.abs(wg[gauss] - w / 2.0).max() <= 1e-15
+    assert wk.sum() == pytest.approx(1.0, abs=1e-15)
+    assert wg.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_length_chords_add_exactly_nothing():
