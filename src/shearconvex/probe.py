@@ -54,49 +54,48 @@ def _extension_radii(r_top: float) -> Tuple[float, float]:
 class _WindingCurves:
     """Adaptively refined image-curve samples per radius, shared across queries.
 
-    Positions come from ``HarmonicMap.parts_on_circle``: h chained along
-    chords between neighbouring samples from radial anchors (every
-    ``CHAIN_STRIDE``-th sample, and wherever a chord does not converge or a
-    pole's excursion ends), which agrees with the radial route to about
-    1e-11 relative, and g solved from h; the winding is an integer, so that
-    moves no verdict.  Each radius caches its (h, g), the curve and the
-    chord lengths between neighbours.  Refinements accumulate: one round
-    refines the union of the bad steps of every unsettled point of a batch,
-    the new samples inside a bad step are chained from the h at its left
-    end, and later batches at that radius reuse them.
+    Positions come from ``_positions``, by default
+    ``HarmonicMap.parts_on_circle``: h chained along chords between
+    neighbouring samples from radial anchors (every ``CHAIN_STRIDE``-th
+    sample, and wherever a chord does not converge or a pole's excursion
+    ends), which agrees with the radial route to about 1e-11 relative, and g
+    solved from h; the winding is an integer, so that moves no verdict.
+    Each radius caches its theta, curve and (h, g), in curve order.
+    Refinements accumulate: one round refines the union of the bad steps of
+    every unsettled point of a batch, the new samples inside a bad step are
+    chained from the h at its first sample and inserted right after it, and
+    later batches at that radius reuse them.
     """
 
     def __init__(self, f: HarmonicMap):
         self.f = f
         self._curves: dict = {}
 
-    def _store(self, r: float, theta, hg):
-        """Cache (theta, gamma, (h, g), chord lengths to the next sample) at r."""
-        gamma = hg[0] + np.conj(hg[1])
-        chord = np.abs(np.roll(gamma, -1) - gamma)
-        got = self._curves[r] = (theta, gamma, hg, chord)
-        return got
+    def _positions(self, r: float, theta, start=None):
+        """(h, g) at r e^{i theta}; the only source of the curves' positions."""
+        return self.f.parts_on_circle(r, theta, start=start)
 
     def _base(self, r: float):
         got = self._curves.get(r)
         if got is None:
             theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
-            got = self._store(r, theta, self.f.parts_on_circle(r, theta))
+            hg = self._positions(r, theta)
+            got = self._curves[r] = (theta, hg[0] + np.conj(hg[1]), hg)
         return got
 
-    def _refine(self, r: float, theta, gamma, bad):
-        """Split each bad step into 8; return the new theta and gamma, and
-        where each new sample came from: an index below ``theta.size`` is
-        that old sample, a larger one a new sample."""
+    def _refine(self, r: float, theta, bad):
+        """Split each bad step into 8, inserting its 7 new samples right
+        after its first sample; return the new theta and gamma."""
         hg = self._curves[r][2]
+        first = np.flatnonzero(bad)
         widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
-        steps = theta[bad, None] + widths[bad, None] * (np.arange(8) / 8.0)[None, :]
-        new_hg = self.f.parts_on_circle(r, steps, start=hg[0, bad])[:, :, 1:]
-        theta = np.concatenate([theta, (steps[:, 1:] % (2.0 * np.pi)).ravel()])
-        hg = np.concatenate([hg, new_hg.reshape(2, -1)], axis=1)
-        order = np.argsort(theta)
-        theta, gamma = self._store(r, theta[order], hg[:, order])[:2]
-        return theta, gamma, order
+        steps = theta[first, None] + widths[first, None] * (np.arange(8) / 8.0)[None, :]
+        new_hg = self._positions(r, steps, start=hg[0, first])[:, :, 1:]
+        at = np.repeat(first + 1, 7)
+        theta = np.insert(theta, at, steps[:, 1:].ravel())
+        hg = np.insert(hg, at, new_hg.reshape(2, -1), axis=1)
+        got = self._curves[r] = (theta, hg[0] + np.conj(hg[1]), hg)
+        return got[:2]
 
     def winding(self, points: Sequence[complex], r: float) -> List[Optional[int]]:
         """Winding of the radius-r image curve around each point, in input
@@ -121,18 +120,20 @@ class _WindingCurves:
         out: List[Optional[int]] = [None] * m.size
         live = np.arange(m.size)
         kept = np.zeros(m.size)          # arg sum over the steps no longer judged
-        theta, gamma, _, chord = self._base(r)
+        theta, gamma, _ = self._base(r)
         steps = np.arange(theta.size)    # the steps to judge, by their first sample
         for _ in range(WINDING_MAX_ROUNDS):
+            ends = gamma[(steps + 1) % theta.size]
+            chord = np.abs(ends - gamma[steps])
             d0 = gamma[steps] - m[live, None]
-            d1 = gamma[(steps + 1) % theta.size] - m[live, None]
+            d1 = ends - m[live, None]
             dist0, dist1 = np.abs(d0), np.abs(d1)
             off = dist0.min(axis=1) >= 1e-9 * (1.0 + np.abs(m[live]))
             if not off.all():
                 live, d0, d1, dist0, dist1 = (a[off] for a in (live, d0, d1, dist0, dist1))
             darg = np.angle(d1 / d0)
             bad = (np.abs(darg) > MAX_TRUSTED_ARG_STEP) \
-                | (chord[steps] > 0.5 * np.minimum(dist0, dist1))
+                | (chord > 0.5 * np.minimum(dist0, dist1))
             settled = ~bad.any(axis=1)
             turns = np.round((kept[live[settled]] + darg[settled].sum(axis=1)) / (2.0 * np.pi))
             for i, w in zip(live[settled], turns):
@@ -144,20 +145,14 @@ class _WindingCurves:
             if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
                 break
             kept[live] += np.where(union, 0.0, darg).sum(axis=1)
-            n_old = theta.size
-            refine = np.zeros(n_old, dtype=bool)
-            refine[steps[union]] = True
-            theta, gamma, src = self._refine(r, theta, gamma, refine)
-            chord = self._curves[r][3]
-            # a step is unchanged when it joins two old samples that were
-            # neighbours across a step left alone
-            unchanged = (src < n_old) & (np.roll(src, -1) == (src + 1) % n_old)
-            unchanged[unchanged] = ~refine[src[unchanged]]
-            if unchanged.sum() == n_old - refine.sum():
-                steps = np.flatnonzero(~unchanged)
-            else:                        # a new sample fell outside its step
-                steps = np.arange(theta.size)
-                kept[live] = 0.0
+            first = steps[union]
+            refine = np.zeros(theta.size, dtype=bool)
+            refine[first] = True
+            theta, gamma = self._refine(r, theta, refine)
+            # each refined step's first sample has moved 7 places per refined
+            # step before it; it and its 7 new successors start the new steps
+            first = first + 7 * np.arange(first.size)
+            steps = (first[:, None] + np.arange(8)[None, :]).ravel()
         return out
 
 
@@ -293,14 +288,14 @@ def newton_preimage(f: HarmonicMap, m: complex,
     angles = list(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
     for a in anchors:
         angles.extend([a, a - 0.02, a + 0.02])
-    seeds = np.array([rho * np.exp(1j * t) for rho in _SEED_RHOS for t in angles])
-    z = seeds.copy()
-    eps = 1e-9
-    for _ in range(NEWTON_ITERS):
+    z = np.array([rho * np.exp(1j * t) for rho in _SEED_RHOS for t in angles])
+    for it in range(NEWTON_ITERS + 1):
         res = f.map_points(z) - m
         done = np.abs(res) <= NEWTON_TOL * (1.0 + abs(m))
         if done.any():
             return complex(z[done][0])
+        if it == NEWTON_ITERS:
+            break
         h1, g1 = f.derivatives(z)
         A = h1 + np.conj(g1)
         B = 1j * (h1 - np.conj(g1))
@@ -309,18 +304,14 @@ def newton_preimage(f: HarmonicMap, m: complex,
         x = (-res.real * B.imag + res.imag * B.real) / det
         y = (-A.real * res.imag + A.imag * res.real) / det
         z_new = z + x + 1j * y
-        # pull runaway iterates back toward the disk; the cap keeps the
-        # quadrature grading depth bounded
+        # pull runaway iterates back toward the disk; the cap keeps every
+        # iterate inside it and the quadrature grading depth bounded
         r_cap = 0.999999
         bad = np.abs(z_new) >= r_cap
         if bad.any():
             z_new[bad] = (z_new[bad] / np.abs(z_new[bad])
                           * np.minimum((np.abs(z[bad]) + 1.0) / 2.0, r_cap))
         z = z_new
-    res = np.abs(f.map_points(z) - m)
-    k = int(res.argmin())
-    if res[k] <= NEWTON_TOL * (1.0 + abs(m)) and abs(z[k]) < 1.0 - eps:
-        return complex(z[k])
     return None
 
 

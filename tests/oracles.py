@@ -10,8 +10,9 @@ between the two is evidence for both.  It uses the package's ABS_TOL and
 panel order, keeps its own REL_TOL for the tolerance it hands each half,
 and raises the package's ``ToleranceNotMet`` when bisection stalls.
 
-``RadialWindingCurves`` is the winding-curve builder with every sample placed
-radially, the reference for the package's chained positions;
+``RadialWindingCurves`` is the package's winding-curve builder with every
+sample placed by its own radial quadrature (it overrides ``_positions``
+only), the reference for the package's chained positions;
 :func:`discrete_winding` is a plain winding sum with none of the package's
 refinement, the reference for its trusted winding; and
 :func:`full_round_winding` is the package's batched winding with every step
@@ -24,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from shearconvex.probe import (MAX_TRUSTED_ARG_STEP, WINDING_MAX_ROUNDS, WINDING_SAMPLES,
-                               WINDING_SAMPLES_MAX, _WindingCurves)
+from shearconvex.probe import (MAX_TRUSTED_ARG_STEP, WINDING_MAX_ROUNDS, WINDING_SAMPLES_MAX,
+                               _WindingCurves)
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
 
 REL_TOL = 1e-14                 # relative floor of the recursive halving of tol
@@ -97,8 +98,9 @@ def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> l
     m = np.array(points, dtype=complex).reshape(-1)
     out = [None] * m.size
     live = np.arange(m.size)
-    theta, gamma, _, chord = curves._base(r)
+    theta, gamma, _ = curves._base(r)
     for _ in range(WINDING_MAX_ROUNDS):
+        chord = np.abs(np.roll(gamma, -1) - gamma)
         d = gamma[None, :] - m[live, None]
         dist = np.abs(d)
         off = dist.min(axis=1) >= 1e-9 * (1.0 + np.abs(m[live]))
@@ -118,8 +120,7 @@ def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> l
         union = bad.any(axis=0)
         if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
             break
-        theta, gamma = curves._refine(r, theta, gamma, union)[:2]
-        chord = curves._curves[r][3]
+        theta, gamma = curves._refine(r, theta, union)
     return out
 
 
@@ -128,24 +129,9 @@ class RadialWindingCurves(_WindingCurves):
 
     The package chains circle samples along chords from radial anchors; this
     builder gives each base and refined sample ``HarmonicMap.parts`` at that
-    point, so the winding routine itself is shared and a parity test
-    compares positions only.
+    point, and shares the package's grid, refinement and winding routine, so
+    a parity test compares positions only.
     """
 
-    def _base(self, r: float):
-        got = self._curves.get(r)
-        if got is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
-            got = self._store(r, theta, np.stack(self.f.parts(r * np.exp(1j * theta))))
-        return got
-
-    def _refine(self, r: float, theta, gamma, bad):
-        widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
-        sub = np.arange(1, 8) / 8.0
-        new_theta = (theta[bad, None] + widths[bad, None] * sub[None, :]).ravel() \
-            % (2.0 * np.pi)
-        new_hg = np.stack(self.f.parts(r * np.exp(1j * new_theta)))
-        theta = np.concatenate([theta, new_theta])
-        hg = np.concatenate([self._curves[r][2], new_hg], axis=1)
-        order = np.argsort(theta)
-        return self._store(r, theta[order], hg[:, order])[:2] + (order,)
+    def _positions(self, r: float, theta, start=None):
+        return np.stack(self.f.parts(r * np.exp(1j * np.asarray(theta))))

@@ -117,11 +117,11 @@ def test_refined_subpoints_on_a_pole_step(name):
     pole = 0.0 if name.startswith("H,") else float(np.angle(np.conj(XI)) % (2.0 * np.pi))
     r = 0.9999
     curves = _WindingCurves(f)
-    theta, gamma = curves._base(r)[:2]
+    theta = curves._base(r)[0]
     for _ in range(3):
         gap = np.abs(np.angle(np.exp(1j * (theta - pole))))
         bad = gap <= np.sort(gap)[3]
-        theta, gamma, _ = curves._refine(r, theta, gamma, bad)
+        theta, gamma = curves._refine(r, theta, bad)
     assert theta.size == 2048 + 7 * 4 * 3
     hg = curves._curves[r][2]
     assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
@@ -181,19 +181,7 @@ def test_winding_parity_with_radial_positions(name):
     assert refined > 0
 
 
-class _StrayWindingCurves(_WindingCurves):
-    """Refines the step after one of the steps asked for instead of it: that
-    step's new samples fall outside every step the winding refined, and the
-    step it asked for stays whole."""
-
-    def _refine(self, r, theta, gamma, bad):
-        j = np.flatnonzero(bad & ~np.roll(bad, -1))[0]
-        stray = bad.copy()
-        stray[j], stray[(j + 1) % bad.size] = False, True
-        return super()._refine(r, theta, gamma, stray)
-
-
-@pytest.mark.parametrize("curves", [_WindingCurves, _StrayWindingCurves])
+@pytest.mark.parametrize("curves", [_WindingCurves])
 @pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z"])
 def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
     # later rounds judge only the steps refinement made; judging every step
@@ -218,12 +206,30 @@ def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
     assert sum(c[0].size for c in full._curves.values()) > 2048 * len(full._curves)
 
 
-def test_cached_chords_follow_refinement():
+def test_refinement_inserts_samples_in_curve_order():
+    # the new samples of a refined step go right after its first sample, so
+    # every old sample keeps its bits and moves 7 places per refined step
+    # before it, including the samples of the wrap step from the last sample
+    # back to theta = 0
     f = shear_construct(SYSTEMS["H, blaschke #27"])
+    r = 0.999
     curves = _WindingCurves(f)
-    theta, gamma = curves._base(0.999)[:2]
-    bad = np.zeros(theta.size, dtype=bool)
-    bad[[0, 5, -1]] = True
-    theta, gamma, _ = curves._refine(0.999, theta, gamma, bad)
-    chord = curves._curves[0.999][3]
-    assert np.array_equal(chord, np.abs(np.roll(gamma, -1) - gamma))
+    theta = curves._base(r)[0]
+    samples = [(theta, curves._curves[r][2])]
+    for _ in range(2):
+        old, old_hg = theta, curves._curves[r][2]
+        bad = np.zeros(old.size, dtype=bool)
+        bad[[0, 5, -1]] = True
+        theta, gamma = curves._refine(r, old, bad)
+        hg = curves._curves[r][2]
+        assert theta.size == old.size + 21 and (np.diff(theta) > 0.0).all()
+        at = np.arange(old.size) + 7 * np.searchsorted(np.flatnonzero(bad), np.arange(old.size))
+        assert np.array_equal(theta[at], old) and np.array_equal(hg[:, at], old_hg)
+        assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
+        new = np.ones(theta.size, dtype=bool)
+        new[at] = False
+        samples.append((theta[new], hg[:, new]))
+    merged_theta = np.concatenate([t for t, _ in samples])
+    order = np.argsort(merged_theta)
+    assert np.array_equal(theta, merged_theta[order])
+    assert np.array_equal(hg, np.concatenate([v for _, v in samples], axis=1)[:, order])
