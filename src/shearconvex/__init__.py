@@ -14,7 +14,7 @@ from .boundary_rotation import (RotationValue, boundary_rotation_value,
                                 brannan_transform, vk_membership)
 from .probe import (FailureWitness, ProbeConfig, ProbeReport, RegionId,
                     halfplane_strip_identifier, midpoint_certificate,
-                    probe_admissibility, rotated_counterexample_suite)
+                    probe_admissibility)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "directional_convexity_check", "halfplane_strip_identifier",
     "harmonic_from_analytic", "make_schwarz", "midpoint_certificate",
     "parabola_residual", "probe_admissibility", "rotate_analytic",
-    "rotated_counterexample_suite", "sample_boundary", "shear_construct",
-    "vk_membership",
+    "sample_boundary", "shear_construct", "vk_membership",
 ]

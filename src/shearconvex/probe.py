@@ -31,8 +31,8 @@ from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, TURNING_SAMPLES,
                        ConvexityReport, convexity_check_resolved, sample_boundary)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
-from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, family_from_spec, format_eta,
-                    parse_phi)
+from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
+                    format_eta, parse_phi)
 
 WINDING_SAMPLES = 2048
 WINDING_SAMPLES_MAX = 131072
@@ -164,7 +164,7 @@ class ProbeConfig:
     radii: Tuple[float, ...] = DEFAULT_RADII
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(sorted(float(r) for r in self.radii)))
+        object.__setattr__(self, "radii", check_radii(self.radii))
 
 
 @dataclass(frozen=True)
@@ -316,8 +316,11 @@ def newton_preimage(f: HarmonicMap, m: complex,
 
 
 def midpoint_certificate(f: HarmonicMap, r: float,
-                         theta_window: Tuple[float, float]) -> Optional[complex]:
-    """First chord midpoint near the reversal window that escapes the curve."""
+                         theta_window: Optional[Tuple[float, float]]) -> Optional[complex]:
+    """First chord midpoint near the reversal window that escapes the curve;
+    None without a window (a curve with no back-turn) or without an escape."""
+    if theta_window is None:
+        return None
     a, b = theta_window
     mid = (a + ((b - a) % (2.0 * np.pi)) / 2.0) % (2.0 * np.pi)
     candidates = [m for m in _candidate_midpoints(f, r, [mid])]
@@ -428,39 +431,6 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
     failures.sort(key=lambda w: w.omega_spec)
     notes.sort()
     return ProbeReport(cfg, per_omega, notes=notes, failures=failures)
-
-
-# ---------------------------------------------------------------------------
-# Named suites
-# ---------------------------------------------------------------------------
-
-ROTATED_FAILING_XIS = (complex(np.exp(1j * np.pi / 4)), complex(np.exp(1j * np.pi / 3)), 1j)
-ROTATED_PASSING_XIS = (1.0 + 0.0j, -1.0 + 0.0j)
-
-
-def rotated_counterexample_suite() -> dict:
-    """Vertical shears of rotations of the half-plane map.
-
-    For xi outside {-1, 1} the rotation breaks admissibility and the probe
-    must find a persistent failure with the designated dilatation -xi*z; for
-    xi in {-1, 1} the standard mixed family must come back clean.
-    """
-    cases = []
-    for xi in ROTATED_FAILING_XIS:
-        fam = (f"explicit:monomial:lam_re={-xi.real!r},lam_im={-xi.imag!r},N=1")
-        cfg = ProbeConfig(phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}",
-                          eta=-1.0 + 0.0j, family_spec=fam)
-        rep = probe_admissibility(cfg)
-        cases.append({"xi": [xi.real, xi.imag], "expected": "FAILURE",
-                      "observed": rep.summary, "report": rep.to_jsonable()})
-    for xi in ROTATED_PASSING_XIS:
-        cfg = ProbeConfig(phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}",
-                          eta=-1.0 + 0.0j, family_spec=DEFAULT_FAMILY)
-        rep = probe_admissibility(cfg)
-        cases.append({"xi": [xi.real, xi.imag], "expected": "NO_FAILURE_FOUND",
-                      "observed": rep.summary, "report": rep.to_jsonable()})
-    ok = all(c["expected"] == c["observed"] for c in cases)
-    return {"suite": "rotated-counterexamples", "all_as_expected": ok, "cases": cases}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .functions import CatalogId, MonomialOmega, catalog, make_schwarz
 from .geometry import (convexity_check_resolved, directional_convexity_check,
                        parabola_residual, sample_boundary)
 from .probe import (ProbeConfig, halfplane_strip_identifier, midpoint_certificate,
-                    probe_admissibility, rotated_counterexample_suite)
+                    probe_admissibility)
 from .shear import (ShearSystem, analytic_combination, harmonic_from_analytic,
                     shear_construct)
 from .specs import DEFAULT_FAMILY, DEFAULT_RADII
@@ -52,10 +52,24 @@ def case_f0() -> List[Row]:
 
 
 def case_rotated_h() -> List[Row]:
-    suite = rotated_counterexample_suite()
-    rows = [(f"xi=({c['xi'][0]:+.4f},{c['xi'][1]:+.4f}) -> {c['expected']}",
-             c["expected"] == c["observed"], f"observed {c['observed']}")
-            for c in suite["cases"]]
+    """Vertical shears of rotations of the half-plane map.
+
+    For xi outside {-1, 1} the rotation breaks admissibility and the probe
+    must find a persistent failure with the designated dilatation -xi*z; for
+    xi in {-1, 1} the default mixed family must come back clean.
+    """
+    rows: List[Row] = []
+    for xi in (complex(np.exp(1j * np.pi / 4)), complex(np.exp(1j * np.pi / 3)), 1j,
+               1.0 + 0.0j, -1.0 + 0.0j):
+        if xi not in (1.0, -1.0):
+            expected = "FAILURE"
+            family = f"explicit:monomial:lam_re={-xi.real!r},lam_im={-xi.imag!r},N=1"
+        else:
+            expected, family = "NO_FAILURE_FOUND", DEFAULT_FAMILY
+        rep = probe_admissibility(ProbeConfig(phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}",
+                                              eta=-1.0 + 0.0j, family_spec=family))
+        rows.append((f"xi=({xi.real:+.4f},{xi.imag:+.4f}) -> {expected}",
+                     rep.summary == expected, f"observed {rep.summary}"))
     return rows
 
 

@@ -21,9 +21,9 @@ Dense samples along a circle (boundary and winding curves) get h by
 chaining h' along chords between neighbouring samples from radial anchors
 (:meth:`HarmonicMap.parts_on_circle`); every scattered point stays radial.
 
-The rotation conj(xi) f(xi z) of the shear of (phi, omega, eta) is the shear
-of (conj(xi) phi(xi z), xi^2 omega(xi z), eta conj(xi)^2), so a rotated map
-is built as the shear of the rotated datum.
+Rotations act on the datum: the rotation conj(xi) f(xi z) of the shear of
+(phi, omega, eta) is the shear of (conj(xi) phi(xi z), xi^2 omega(xi z),
+eta conj(xi)^2), an identity that the tests check.
 """
 
 from __future__ import annotations

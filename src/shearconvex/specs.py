@@ -36,15 +36,16 @@ class SpecError(ValueError):
     pass
 
 
-def _kv(body: str, what: str) -> dict:
+def _kv(body: str, what: str, keys: Tuple[str, ...]) -> dict:
+    """The k=v fields of body; a key outside ``keys`` is refused, not ignored."""
     out = {}
-    if not body:
-        return out
-    for part in body.split(","):
+    for part in body.split(",") if body else ():
         if "=" not in part:
             raise SpecError(f"malformed {what} field {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (s.strip() for s in part.split("=", 1))
+        if k not in keys:
+            raise SpecError(f"unknown {what} key {k!r}; expected one of {', '.join(keys)}")
+        out[k] = v
     return out
 
 
@@ -64,12 +65,12 @@ def parse_phi(spec: str) -> AnalyticFunction:
     rot = None
     if "@rot:" in spec:
         spec, rot_body = spec.split("@rot:", 1)
-        kv = _kv(rot_body, "rotation")
+        kv = _kv(rot_body, "rotation", ("re", "im"))
         rot = _complex_kv(kv, "re", "im")
     if spec in _PLAIN_PHI:
         phi = catalog(CatalogId(_PLAIN_PHI[spec]))
     elif spec.startswith("Llambda:"):
-        kv = _kv(spec[len("Llambda:"):], "Llambda")
+        kv = _kv(spec[len("Llambda:"):], "Llambda", ("re", "im"))
         phi = catalog(CatalogId("L_LAMBDA", _complex_kv(kv, "re", "im")))
     else:
         raise SpecError(f"unknown phi spec {spec!r}")
@@ -95,12 +96,13 @@ def parse_omega(spec: str) -> SchwarzFunction:
     spec = spec.strip()
     if spec == "zero":
         return make_schwarz(ZeroOmega())
-    if spec.startswith("monomial"):
-        kv = _kv(spec[len("monomial"):].lstrip(":"), "monomial")
+    if spec == "monomial" or spec.startswith("monomial:"):
+        kv = _kv(spec[len("monomial:"):], "monomial", ("lam_re", "lam_im", "N"))
         lam = _complex_kv(kv, "lam_re", "lam_im", default=1.0 + 0.0j)
         return make_schwarz(MonomialOmega(lam=lam, n=int(kv.get("N", 1))))
     if spec.startswith("blaschke-explicit:"):
-        kv = _kv(spec[len("blaschke-explicit:"):], "blaschke-explicit")
+        kv = _kv(spec[len("blaschke-explicit:"):], "blaschke-explicit",
+                 ("zeros", "phase", "scale_re", "scale_im"))
         if "zeros" not in kv:
             raise SpecError("blaschke-explicit requires zeros=")
         zeros = tuple(complex(s) for s in kv["zeros"].split(";") if s)
@@ -108,7 +110,7 @@ def parse_omega(spec: str) -> SchwarzFunction:
         return make_schwarz(BlaschkeOmega(zeros=zeros, phase=float(kv.get("phase", 0.0)),
                                           scale=scale))
     if spec.startswith("blaschke:"):
-        kv = _kv(spec[len("blaschke:"):], "blaschke")
+        kv = _kv(spec[len("blaschke:"):], "blaschke", ("seed", "deg", "scale"))
         return make_schwarz(blaschke_from_seed(int(kv.get("seed", 0)),
                                                int(kv.get("deg", 1)),
                                                float(kv.get("scale", 1.0))))
@@ -139,18 +141,19 @@ def family_from_spec(spec: str) -> List[SchwarzFunction]:
     spec = spec.strip()
     head, _, body = spec.partition(":")
     omegas: List[SchwarzFunction] = []
+    grid, drawn = head in ("monomial-grid", "mixed"), head in ("blaschke-random", "mixed")
     if head == "explicit":
         omegas = [parse_omega(s) for s in _OMEGA_SEP.split(body) if s]
-    elif head in ("monomial-grid", "blaschke-random", "mixed"):
-        kv = _kv(body, "family")
-        if head in ("monomial-grid", "mixed"):
+    elif grid or drawn:
+        kv = _kv(body, head, ("phases", "nmax") * grid + ("count", "deg", "seed") * drawn)
+        if grid:
             phases = int(kv.get("phases", 8))
             nmax = int(kv.get("nmax", 3))
             for k in range(phases):
                 lam = np.exp(2j * np.pi * k / phases)
                 for n in range(1, nmax + 1):
                     omegas.append(make_schwarz(MonomialOmega(lam=lam, n=n)))
-        if head in ("blaschke-random", "mixed"):
+        if drawn:
             count = int(kv.get("count", 50))
             deg_max = int(kv.get("deg", 3))
             seed = int(kv.get("seed", 7))
@@ -171,8 +174,13 @@ DEFAULT_FAMILY = "mixed:phases=8,nmax=3,count=50,deg=3,seed=7"
 DEFAULT_RADII = (0.9, 0.99, 0.999)          # the radius ladder of probes and V_k checks
 
 
-def parse_radii(spec: str) -> Tuple[float, ...]:
-    radii = tuple(sorted(float(s) for s in spec.split(",") if s))
+def check_radii(radii) -> Tuple[float, ...]:
+    """A radius ladder, sorted; refused if empty or not inside (0, 1)."""
+    radii = tuple(sorted(float(r) for r in radii))
     if not radii or not all(0 < r < 1 for r in radii):     # NaN fails too
-        raise SpecError("radii must lie strictly between 0 and 1")
+        raise SpecError("radii must be nonempty and lie strictly between 0 and 1")
     return radii
+
+
+def parse_radii(spec: str) -> Tuple[float, ...]:
+    return check_radii(s for s in spec.split(",") if s)

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines; tolerances are pinned here and nowhere else.
+lines.  The paper's named checks are the `reproduce` cases, whose rows pin
+their own bounds in `shearconvex.reproduce`; one parametrized test runs
+every case and asserts every row.  The other criteria pin their tolerances
+here.
 """
 
 import time
@@ -9,20 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from shearconvex.boundary_rotation import (boundary_rotation_value,
-                                           brannan_transform, vk_membership)
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    ZeroOmega, catalog, make_schwarz)
 from shearconvex.geometry import (convexity_check, convexity_check_resolved,
-                                  directional_convexity_check,
-                                  parabola_residual, sample_boundary,
-                                  turning_increments)
-from shearconvex.probe import (ProbeConfig, halfplane_strip_identifier,
-                               midpoint_certificate, probe_admissibility,
-                               rotated_counterexample_suite)
+                                  sample_boundary)
+from shearconvex.probe import (ProbeConfig, midpoint_certificate,
+                               probe_admissibility)
 from shearconvex.quadrature import antiderivative_many
-from shearconvex.shear import (ShearSystem, analytic_combination,
-                               harmonic_from_analytic, shear_construct)
+from shearconvex.reproduce import CASES
+from shearconvex.shear import (ShearSystem, harmonic_from_analytic,
+                               shear_construct)
 
 from oracles import discrete_winding, integrate_segment
 
@@ -75,112 +74,41 @@ def test_criterion_1_shear_reconstruction(wide_grid):
 
 
 def test_criterion_2_f0_suite():
+    # the f0 case row finds the midpoint; here it must also escape the very
+    # curve of the verdict, by the independent discrete winding of the oracle
     f = shear_construct(ShearSystem(catalog(CatalogId("H")),
                                     make_schwarz(MonomialOmega(1.0, 1)), 1.0))
-    grid = np.concatenate([rad * np.exp(2j * np.pi * np.arange(24) / 24)
-                           for rad in np.linspace(0.1, 0.95, 8)])
-    h_err = float(np.abs(f.h.value(grid)
-                         - catalog(CatalogId("F0_H_PART")).value(grid)).max())
-    g_err = float(np.abs(f.g.value(grid)
-                         - catalog(CatalogId("F0_G_PART")).value(grid)).max())
-    resid = parabola_residual(sample_boundary(f, 0.9999, 4096))
     curve, rep = convexity_check_resolved(f, 0.99)
     m = midpoint_certificate(f, 0.99, rep.witness)
-    witness_ok = m is not None and discrete_winding(curve.gamma, m) == 0
-    ok = (h_err <= 1e-10 and g_err <= 1e-10 and resid <= 5e-3
-          and rep.verdict == "NON_CONVEX" and witness_ok)
-    _report("2 f0 suite", ok,
-            f"h err {h_err:.2e}, g err {g_err:.2e} (<= 1e-10); parabola residual "
-            f"{resid:.2e} (<= 5e-3); verdict {rep.verdict}; midpoint witness {m}")
+    winding = None if m is None else discrete_winding(curve.gamma, m)
+    _report("2 f0 certificate", winding == 0,
+            f"verdict {rep.verdict}; midpoint {m}; discrete winding {winding} (expected 0)")
 
 
 def test_criterion_3_always_convex_positives():
-    lam3 = complex(np.exp(1j * np.pi / 3))
-    specs = ["H", "H-1", "Llambda:re=0.0,im=1.0",
-             f"Llambda:re={lam3.real!r},im={lam3.imag!r}"]
+    # the Llambda case probes L_i and L_{e^{i pi/3}} with the same family
     t0 = time.time()
     summaries = {}
     n_family = None
-    for spec in specs:
+    for spec in ("H", "H-1"):
         cfg = ProbeConfig(phi_spec=spec, eta=-1.0 + 0.0j, radii=LADDER)
         rep = probe_admissibility(cfg)
         summaries[spec] = rep.summary
         n_family = len(rep.per_omega)
     elapsed = time.time() - t0
     ok = all(s == "NO_FAILURE_FOUND" for s in summaries.values()) \
-        and n_family >= 74 and elapsed <= 120.0
+        and n_family >= 74 and elapsed <= 60.0
     _report("3 always-convex positives", ok,
-            f"{summaries}; family size {n_family} (>= 74); {elapsed:.1f}s (<= 120s)")
+            f"{summaries}; family size {n_family} (>= 74); {elapsed:.1f}s (<= 60s)")
 
 
-def test_criterion_4_rotation_counterexamples():
-    suite = rotated_counterexample_suite()
-    detail = ", ".join(f"xi=({c['xi'][0]:+.3f},{c['xi'][1]:+.3f}):{c['observed']}"
-                       for c in suite["cases"])
-    _report("4 rotation counterexamples", suite["all_as_expected"], detail)
-
-
-def test_criterion_5_koebe_directions():
-    curve = sample_boundary(harmonic_from_analytic(catalog(CatalogId("KOEBE"))),
-                            0.999, 4096)
-    t_grid = np.arange(64) * np.pi / 64
-    passing = [float(t) for t in t_grid
-               if directional_convexity_check(curve, t).passed]
-    _report("5 koebe directions", passing == [0.0],
-            f"passing directions on the 64-grid: {passing} (expected [0.0])")
-
-
-def test_criterion_6_halfplane_strip_identification():
-    rid_h = halfplane_strip_identifier(harmonic_from_analytic(catalog(CatalogId("H"))))
-    rid_s = halfplane_strip_identifier(
-        harmonic_from_analytic(catalog(CatalogId("L_LAMBDA", 1j))))
-    ok = (rid_h.kind == "HALF_PLANE" and abs(rid_h.offset + 0.5) <= 1e-3
-          and rid_s.kind == "STRIP"
-          and abs(rid_s.strip_width_over_pi - 0.5) <= 1e-3)
-    _report("6 half-plane/strip identification", ok,
-            f"H -> {rid_h.kind} offset {rid_h.offset}; "
-            f"L_i -> {rid_s.kind} width/pi {rid_s.strip_width_over_pi}")
-
-
-def test_criterion_7_boundary_rotation(disk_grid):
-    devs = {}
-    for cid in (CatalogId("H"), CatalogId("H_ROT_MINUS1"),
-                CatalogId("L_LAMBDA", 1j), CatalogId("IDENTITY")):
-        phi = catalog(cid)
-        devs[cid.text] = max(abs(boundary_rotation_value(phi, r).value_over_pi - 2.0)
-                             for r in LADDER)
-    flat = max(devs.values())
-    H = catalog(CatalogId("H"))
-    psi1 = brannan_transform(H, -1.0, 1)
-    ok1, worst1, _ = vk_membership(psi1, 4.0, LADDER)
-    koebe_err = float(np.abs(psi1.value(disk_grid)
-                             - catalog(CatalogId("KOEBE")).value(disk_grid)).max())
-    psi2 = brannan_transform(H, 1.0, 2)
-    ok2, worst2, _ = vk_membership(psi2, 6.0, LADDER)
-    ok = flat <= 1e-9 and ok1 and ok2 and koebe_err <= 1e-10
-    _report("7 boundary rotation", ok,
-            f"convex-map deviation {flat:.2e} (<= 1e-9); transform values "
-            f"{worst1:.6f} <= 4+1e-6, {worst2:.6f} <= 6+1e-6; "
-            f"Koebe coincidence {koebe_err:.2e} (<= 1e-10)")
-
-
-def test_criterion_8_strip_formula(wide_grid):
-    lam = 1j
-    f = shear_construct(ShearSystem(catalog(CatalogId("L_LAMBDA", lam)),
-                                    make_schwarz(MonomialOmega(-1.0, 1)), -1.0))
-    hg = f.h.value(wide_grid) - f.g.value(wide_grid)
-    closed = np.log((1 - lam * wide_grid) * (1 - np.conj(lam) * wide_grid)
-                    / (1 - wide_grid) ** 2) / (2 - 2 * lam.real)
-    err = float(np.abs(hg - closed).max())
-    comb = harmonic_from_analytic(analytic_combination(f, 0.0))
-    curve = sample_boundary(comb, 0.999, 4096)
-    t_grid = np.arange(64) * np.pi / 64
-    passing = [float(t) for t in t_grid
-               if directional_convexity_check(curve, t).passed]
-    ok = err <= 1e-9 and passing == [0.0]
-    _report("8 strip formula", ok,
-            f"h-g vs closed log form: {err:.2e} (<= 1e-9); "
-            f"directions passing: {passing} (expected [0.0])")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reproduce_case(name):
+    # every row of every named case, with the bounds its rows pin
+    rows = CASES[name]()
+    _report(f"reproduce {name}", bool(rows) and all(ok for _, ok, _ in rows),
+            "; ".join(f"{'PASS' if ok else 'FAIL'} {row} [{detail}]"
+                      for row, ok, detail in rows))
 
 
 def test_criterion_9_oracle_invariants():

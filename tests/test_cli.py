@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shearconvex.probe
+import shearconvex.reproduce
 from shearconvex.cli import main
 from shearconvex.geometry import verdict_from_increments
 from shearconvex.quadrature import ToleranceNotMet
@@ -144,12 +145,28 @@ def test_reproduce_f0_exits_zero(capsys):
     assert "FAIL" not in out
 
 
+def test_reproduce_f0_without_a_back_turn_prints_fail_rows(capsys, monkeypatch):
+    # a CONVEX verdict has no back-turn window; the f0 rows must say FAIL and
+    # the case exit 2, not crash
+    check = shearconvex.reproduce.convexity_check_resolved
+    monkeypatch.setattr(shearconvex.reproduce, "convexity_check_resolved",
+                        lambda f, r: check(f, 0.2))
+    code, out, _ = run(capsys, "reproduce", "--case", "f0")
+    assert code == 2
+    assert "FAIL  convexity at r=0.99 is NON_CONVEX  [verdict CONVEX," in out
+    assert "FAIL  midpoint winding witness exists  [no certificate]" in out
+
+
 def test_malformed_spec_exits_one(capsys):
     code, _, err = run(capsys, "vk", "--phi", "nonsense", "--k", "2")
     assert code == 1
     assert "error" in err
     code, _, err = run(capsys, "convexity", "--phi", "mobius:re=0,im=1")
     assert code == 1 and "mobius" in err
+    # a misspelt key (phase for phases) is refused, not read as its default
+    code, out, err = run(capsys, "probe", "--phi", "H", "--eta", "-1,0",
+                         "--family", "mixed:phase=8")
+    assert code == 1 and out == "" and "'phase'" in err
 
 
 def test_convexity_of_an_unnormalized_phi_exits_one(capsys):

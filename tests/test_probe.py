@@ -8,9 +8,10 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.geometry import (TURNING_SAMPLES, convexity_check_resolved,
                                   directional_convexity_check, sample_boundary)
-from shearconvex.probe import (NEWTON_TOL, ProbeConfig, _WindingCurves,
-                               halfplane_strip_identifier, midpoint_certificate,
-                               newton_preimage, probe_admissibility)
+from shearconvex.probe import (NEWTON_TOL, ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
+                               _WindingCurves, halfplane_strip_identifier,
+                               midpoint_certificate, newton_preimage,
+                               probe_admissibility)
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
@@ -143,13 +144,57 @@ def test_a_false_winding_zero_is_refused_by_newton(monkeypatch):
     assert abs(f.map_points(z) - m) <= NEWTON_TOL * (1.0 + abs(m))
 
 
-def test_midpoint_certificate_for_f0():
-    f = shear_construct(ShearSystem(catalog(CatalogId("H")),
-                                    make_schwarz(MonomialOmega(1.0, 1)), 1.0))
-    _, rep = convexity_check_resolved(f, 0.99)
-    m = midpoint_certificate(f, 0.99, rep.witness)
+@pytest.fixture(scope="module")
+def f0():
+    return shear_construct(ShearSystem(catalog(CatalogId("H")),
+                                       make_schwarz(MonomialOmega(1.0, 1)), 1.0))
+
+
+def test_midpoint_certificate_for_f0(f0):
+    _, rep = convexity_check_resolved(f0, 0.99)
+    m = midpoint_certificate(f0, 0.99, rep.witness)
     assert m is not None
     assert m.real < -0.25 + 1e-2
+
+
+def test_midpoint_certificate_without_a_window_is_none(f0):
+    # a CONVEX verdict carries no back-turn window, so there is nothing to certify
+    assert midpoint_certificate(f0, 0.99, None) is None
+
+
+@pytest.mark.parametrize("radii", [(), (0.0, 0.9), (0.9, 1.0), (-0.5,), (np.nan,),
+                                   (0.9, np.nan)],
+                         ids=["empty", "zero", "one", "negative", "nan", "nan-above"])
+def test_a_ladder_that_checks_nothing_is_refused(radii):
+    # the rule of --radii: an empty ladder or a radius outside (0, 1) would
+    # let a probe report NO_FAILURE_FOUND without looking at a single curve
+    with pytest.raises(ValueError, match="radii"):
+        ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j, radii=radii)
+
+
+def test_onset_radius_is_bisected_between_ladder_radii(f0):
+    # f0 is convex at r = 0.05 and back-turns at 0.9, so the onset is bisected
+    # in between: NON_CONVEX at r_onset, CONVEX one bisection step below
+    rep = probe_admissibility(ProbeConfig(phi_spec="H", eta=1.0 + 0.0j,
+                                          family_spec="explicit:monomial:N=1",
+                                          radii=(0.05, 0.9, 0.99, 0.999)))
+    assert rep.summary == "FAILURE"
+    (w,) = rep.failures
+    assert (w.r, w.r_onset) == (0.9, 0.269140625)
+    step = (0.9 - 0.05) / 2 ** ONSET_STEPS
+    assert convexity_check_resolved(f0, w.r_onset)[1].verdict == "NON_CONVEX"
+    assert convexity_check_resolved(f0, w.r_onset - step)[1].verdict == "CONVEX"
+
+
+def test_a_winding_past_the_sample_cap_is_untrusted(f0, monkeypatch):
+    _, rep = convexity_check_resolved(f0, 0.99)
+    anchors = shearconvex.probe._window_anchors(rep)
+    candidates = shearconvex.probe._candidate_midpoints(f0, 0.99, anchors)
+    assert len(candidates) == 12
+    assert _WindingCurves(f0).winding(candidates, 0.99) == [0] * 12
+    # with no room to refine, every point that needs a refinement round is None
+    monkeypatch.setattr(shearconvex.probe, "WINDING_SAMPLES_MAX", WINDING_SAMPLES)
+    assert _WindingCurves(f0).winding(candidates, 0.99) == [None] * 12
 
 
 def test_identifier_halfplane():

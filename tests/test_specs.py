@@ -88,6 +88,21 @@ def test_bad_specs_raise():
         parse_omega("blaschke-explicit:phase=1")
 
 
+@pytest.mark.parametrize("parse, spec", [
+    (parse_omega, "monomial:N=2,lam_rel=0.5"),
+    (family_from_spec, "mixed:phase=2,nmax=1,count=0"),
+    (parse_omega, "blaschke:sed=3,deg=2"),
+    (parse_phi, "Llambda:re=0,im=1,foo=3"),
+    (parse_omega, "monomial-grid:phases=8"),
+    (parse_omega, "monomialN=2"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_a_misspelt_key_is_refused(parse, spec):
+    # a key that a grammar does not know must not silently take a default, and
+    # an omega head is matched whole
+    with pytest.raises(SpecError):
+        parse(spec)
+
+
 def test_blaschke_draws_are_pinned():
     # literal texts of the seeded generator and of the first Blaschke member
     # of the default family; any change to the order of rng draws shows here
