@@ -7,9 +7,8 @@ from .quadrature import ToleranceNotMet, antiderivative_many
 from .shear import (HarmonicMap, ShearSystem, analytic_combination,
                     harmonic_from_analytic, shear_construct)
 from .geometry import (BoundaryCurve, ConvexityReport, DirectionalReport,
-                       convexity_check, convexity_check_resolved,
-                       directional_convexity_check, parabola_residual,
-                       sample_boundary)
+                       convexity_check_resolved, directional_convexity_check,
+                       parabola_residual, sample_boundary)
 from .boundary_rotation import (RotationValue, boundary_rotation_value,
                                 brannan_transform, vk_membership)
 from .probe import (FailureWitness, ProbeConfig, ProbeReport, RegionId,
@@ -25,7 +24,7 @@ __all__ = [
     "RegionId", "RotationValue", "SchwarzFunction", "ShearSystem",
     "ToleranceNotMet", "ZeroOmega", "analytic_combination",
     "antiderivative_many", "boundary_rotation_value", "brannan_transform",
-    "catalog", "convexity_check", "convexity_check_resolved",
+    "catalog", "convexity_check_resolved",
     "directional_convexity_check", "halfplane_strip_identifier",
     "harmonic_from_analytic", "make_schwarz", "midpoint_certificate",
     "parabola_residual", "probe_admissibility", "rotate_analytic",

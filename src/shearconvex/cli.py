@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .boundary_rotation import vk_membership
-from .geometry import (convexity_check, directional_convexity_check,
-                       sample_boundary, turning_increments)
+from .geometry import (convexity_check_resolved, directional_convexity_check,
+                       turning_increments)
 from .probe import ProbeConfig, probe_admissibility
 from .quadrature import ToleranceNotMet
 from .render import csv_lines, dumps_report, render_curve_svg, round_floats
@@ -100,13 +100,12 @@ def cmd_shear(args) -> int:
 def _convexity_report(args):
     f = shear_construct(ShearSystem(parse_phi(args.phi), parse_omega(args.omega),
                                     parse_eta(args.eta)))
-    curve = sample_boundary(f, args.r, args.n)
-    rep = convexity_check(curve)
+    curve, rep = convexity_check_resolved(f, args.r, args.n)
     gamma = curve.gamma
     report = {
         "label": f.label,
         "r": args.r,
-        "n": args.n,
+        "n": rep.n,
         "near_boundary": curve.near_boundary,
         "verdict": rep.verdict,
         "total_turning": rep.total_turning,

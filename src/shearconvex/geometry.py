@@ -19,8 +19,8 @@ lap adds +2 pi).
 A resolution guard protects all verdicts: once any single increment exceeds
 ``MAX_TRUSTED_STEP`` the tangent field may rotate by more than pi between
 samples (angular aliasing near boundary singularities), and the verdict is
-INCONCLUSIVE rather than a guess.  Callers escalate the sample count; see
-:func:`convexity_check_resolved`.
+INCONCLUSIVE rather than a guess.  :func:`convexity_check_resolved` splits
+such steps in place (:func:`split_steps`, the one curve refinement).
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from .shear import HarmonicMap
 MAX_TRUSTED_STEP = 1.5          # rad; above this a step may alias (true step > pi)
 TOTAL_TURNING_TOL = 1e-3        # accepted deviation of total turning from 2 pi
 BACKTURN_TOL = 1e-6             # rad; back-turn budget of a CONVEX verdict
-TURNING_SAMPLES = 4096          # first sample count of a resolved check
-TURNING_SAMPLES_MAX = 65536     # escalation stops here
+TURNING_SAMPLES = 4096          # uniform base samples of a resolved check
+REFINE_MAX_ROUNDS = 24          # split rounds per refined curve or winding query
+REFINE_SAMPLES_MAX = 131072     # a refinement round may not grow a curve past this
 DIRECTION_DEADBAND = 1e-9       # flat-step threshold, fraction of the transverse range
 PARABOLA_EXCLUDE = np.pi / 8    # rad around theta = 0 skipped by the residual
 NEAR_BOUNDARY_RADIUS = 0.999
@@ -46,11 +47,10 @@ NEAR_BOUNDARY_RADIUS = 0.999
 class BoundaryCurve:
     """Sampled image of |z| = r with exact tangents; positions are lazy."""
 
-    def __init__(self, f: HarmonicMap, r: float, n: int,
-                 theta: np.ndarray, tangent: np.ndarray):
+    def __init__(self, f: HarmonicMap, r: float, theta: np.ndarray, tangent: np.ndarray):
         self.f = f
         self.r = float(r)
-        self.n = int(n)
+        self.n = theta.size
         self.theta = theta
         self.tangent = tangent
         self.near_boundary = self.r >= NEAR_BOUNDARY_RADIUS
@@ -79,10 +79,24 @@ def sample_boundary(f: HarmonicMap, r: float, n: int) -> BoundaryCurve:
     if n < 64:
         raise ValueError("need at least 64 samples")
     theta, u = _unit_circle(int(n))
-    z = r * u
+    return BoundaryCurve(f, r, theta, _tangents(f, r * u))
+
+
+def _tangents(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
     h1, g1 = f.derivatives(z)
-    tangent = 1j * z * h1 - 1j * np.conj(z * g1)
-    return BoundaryCurve(f, r, n, theta, tangent)
+    return 1j * z * h1 - 1j * np.conj(z * g1)
+
+
+def split_steps(theta: np.ndarray, values: np.ndarray, first: np.ndarray, evaluate):
+    """Split the steps that start at the indices ``first`` into 8 equal parts;
+    ``evaluate`` gives values (last axis) at the parts' (first.size, 8) angles,
+    each row from its step's first sample on.  Returns theta and values in curve order."""
+    widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
+    steps = theta[first, None] + widths[first, None] * (np.arange(8) / 8.0)[None, :]
+    new = evaluate(steps)[..., 1:]
+    at = np.repeat(first + 1, 7)
+    return (np.insert(theta, at, steps[:, 1:].ravel()),
+            np.insert(values, at, new.reshape(new.shape[:-2] + (-1,)), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -137,24 +151,22 @@ def verdict_from_increments(inc: np.ndarray, theta: np.ndarray) -> ConvexityRepo
                            worst_step_theta)
 
 
-def convexity_check(curve: BoundaryCurve) -> ConvexityReport:
-    return verdict_from_increments(turning_increments(curve.tangent), curve.theta)
-
-
 def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = TURNING_SAMPLES
                              ) -> Tuple[BoundaryCurve, ConvexityReport]:
-    """Escalate the sample count until the turning field is resolved.
-
-    Returns the last curve and its report; the report stays INCONCLUSIVE if
-    even ``TURNING_SAMPLES_MAX`` samples cannot resolve the tangent rotation.
-    """
-    n = n0
-    while True:
-        curve = sample_boundary(f, r, n)
-        inc = turning_increments(curve.tangent)
-        if n >= TURNING_SAMPLES_MAX or np.abs(inc).max() <= MAX_TRUSTED_STEP:
-            return curve, verdict_from_increments(inc, curve.theta)
-        n = min(4 * n, TURNING_SAMPLES_MAX)
+    """Split the turning steps above ``MAX_TRUSTED_STEP`` of the n0-sample curve,
+    with exact tangents, until none is left or the refinement limits stop it
+    (the verdict is then INCONCLUSIVE); return the refined curve and its report."""
+    base = sample_boundary(f, r, n0)
+    theta, tangent = base.theta, base.tangent
+    inc = turning_increments(tangent)
+    for _ in range(REFINE_MAX_ROUNDS):
+        first = np.flatnonzero(np.abs(inc) > MAX_TRUSTED_STEP)
+        if not first.size or theta.size + 7 * first.size > REFINE_SAMPLES_MAX:
+            break
+        theta, tangent = split_steps(theta, tangent, first,
+                                     lambda t: _tangents(f, r * np.exp(1j * t)))
+        inc = turning_increments(tangent)
+    return BoundaryCurve(f, r, theta, tangent), verdict_from_increments(inc, theta)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, TURNING_SAMPLES,
-                       ConvexityReport, convexity_check_resolved, sample_boundary)
+from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, REFINE_MAX_ROUNDS,
+                       REFINE_SAMPLES_MAX, TURNING_SAMPLES, ConvexityReport,
+                       convexity_check_resolved, sample_boundary, split_steps)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
                     format_eta, parse_phi)
 
 WINDING_SAMPLES = 2048
-WINDING_SAMPLES_MAX = 131072
-WINDING_MAX_ROUNDS = 24          # local subdivision rounds per winding query
 MAX_TRUSTED_ARG_STEP = 1.8       # rad subtended at the query point per curve step
 BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractions of pi
 NEWTON_ITERS = 40
@@ -60,10 +59,10 @@ class _WindingCurves:
     sample, and wherever a chord does not converge or a pole's excursion
     ends), which agrees with the radial route to about 1e-11 relative, and g
     solved from h; the winding is an integer, so that moves no verdict.
-    Each radius caches its theta, curve and (h, g), in curve order.
-    Refinements accumulate: one round refines the union of the bad steps of
-    every unsettled point of a batch, the new samples inside a bad step are
-    chained from the h at its first sample and inserted right after it, and
+    Each radius caches its theta (uniform plus the datum's pole angles),
+    curve and (h, g), in curve order.  Refinements accumulate: one round
+    splits the union of the bad steps of every unsettled point of a batch,
+    chaining the new samples from the h at each step's first sample, and
     later batches at that radius reuse them.
     """
 
@@ -78,22 +77,17 @@ class _WindingCurves:
     def _base(self, r: float):
         got = self._curves.get(r)
         if got is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False)
+            theta = np.union1d(np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False),
+                               self.f.shear.pole_angles)
             hg = self._positions(r, theta)
             got = self._curves[r] = (theta, hg[0] + np.conj(hg[1]), hg)
         return got
 
-    def _refine(self, r: float, theta, bad):
-        """Split each bad step into 8, inserting its 7 new samples right
-        after its first sample; return the new theta and gamma."""
+    def _refine(self, r: float, theta, first):
+        """``geometry.split_steps`` of the curve at r; the new theta and gamma."""
         hg = self._curves[r][2]
-        first = np.flatnonzero(bad)
-        widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
-        steps = theta[first, None] + widths[first, None] * (np.arange(8) / 8.0)[None, :]
-        new_hg = self._positions(r, steps, start=hg[0, first])[:, :, 1:]
-        at = np.repeat(first + 1, 7)
-        theta = np.insert(theta, at, steps[:, 1:].ravel())
-        hg = np.insert(hg, at, new_hg.reshape(2, -1), axis=1)
+        theta, hg = split_steps(theta, hg, first,
+                                lambda steps: self._positions(r, steps, start=hg[0, first]))
         got = self._curves[r] = (theta, hg[0] + np.conj(hg[1]), hg)
         return got[:2]
 
@@ -111,8 +105,8 @@ class _WindingCurves:
         others' bad steps is refined in one call.  A step that refinement
         left alone keeps its endpoints, its angle and its verdict, so later
         rounds judge only the steps that refinement made.  A point on the
-        curve, a batch whose refinement would exceed ``WINDING_SAMPLES_MAX``
-        and a point still unsettled after ``WINDING_MAX_ROUNDS`` rounds give
+        curve, a batch whose refinement would exceed ``REFINE_SAMPLES_MAX``
+        and a point still unsettled after ``REFINE_MAX_ROUNDS`` rounds give
         None.  Since the maps probed here are univalent their curves are
         Jordan; any winding outside {0, 1} is reported as untrustable.
         """
@@ -122,7 +116,7 @@ class _WindingCurves:
         kept = np.zeros(m.size)          # arg sum over the steps no longer judged
         theta, gamma, _ = self._base(r)
         steps = np.arange(theta.size)    # the steps to judge, by their first sample
-        for _ in range(WINDING_MAX_ROUNDS):
+        for _ in range(REFINE_MAX_ROUNDS):
             ends = gamma[(steps + 1) % theta.size]
             chord = np.abs(ends - gamma[steps])
             d0 = gamma[steps] - m[live, None]
@@ -142,17 +136,14 @@ class _WindingCurves:
             if not live.size:
                 break
             union = bad.any(axis=0)
-            if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
+            if theta.size + 7 * int(union.sum()) > REFINE_SAMPLES_MAX:
                 break
             kept[live] += np.where(union, 0.0, darg).sum(axis=1)
             first = steps[union]
-            refine = np.zeros(theta.size, dtype=bool)
-            refine[first] = True
-            theta, gamma = self._refine(r, theta, refine)
+            theta, gamma = self._refine(r, theta, first)
             # each refined step's first sample has moved 7 places per refined
             # step before it; it and its 7 new successors start the new steps
-            first = first + 7 * np.arange(first.size)
-            steps = (first[:, None] + np.arange(8)[None, :]).ravel()
+            steps = ((first + 7 * np.arange(first.size))[:, None] + np.arange(8)).ravel()
         return out
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import (AnalyticFunction, SchwarzFunction, ZeroOmega, make_schwarz,
-                        require_unimodular)
+from .functions import (AnalyticFunction, MonomialOmega, SchwarzFunction, ZeroOmega,
+                        make_schwarz, require_unimodular)
 from .quadrature import antiderivative_many, chord_increments
 
 S_NORMALIZATION_TOL = 1e-10
@@ -66,6 +66,14 @@ class ShearSystem:
     def analytic(self) -> bool:
         """Zero omega: the shear is phi itself, h = phi and g = 0."""
         return isinstance(self.omega.spec, ZeroOmega)
+
+    @property
+    def pole_angles(self) -> np.ndarray:
+        """Angles of the zeros of 1 - eta*omega on |z| = 1: z^N = conj(eta lam) for lam z^N."""
+        om = self.omega.spec
+        if not isinstance(om, MonomialOmega):
+            return np.empty(0)
+        return (2 * np.pi * np.arange(om.n) - np.angle(self.eta * om.lam)) / om.n % (2 * np.pi)
 
     def h_prime(self, z):
         """h' = phi'/(1 - eta*omega), the only quadrature integrand."""

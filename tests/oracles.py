@@ -17,6 +17,11 @@ only), the reference for the package's chained positions;
 refinement, the reference for its trusted winding; and
 :func:`full_round_winding` is the package's batched winding with every step
 judged afresh in every round, the reference for its incremental rounds.
+
+:func:`turning_rate` is the closed-form turning rate of a level curve, the
+reference for the package's sampled turning verdicts, and
+:func:`convexity_check` is that verdict of a curve exactly as sampled, with
+none of the package's refinement.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from shearconvex.probe import (MAX_TRUSTED_ARG_STEP, WINDING_MAX_ROUNDS, WINDING_SAMPLES_MAX,
-                               _WindingCurves)
+from shearconvex.geometry import (REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX, BoundaryCurve,
+                                  ConvexityReport, turning_increments, verdict_from_increments)
+from shearconvex.probe import MAX_TRUSTED_ARG_STEP, _WindingCurves
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
+from shearconvex.shear import HarmonicMap
 
 REL_TOL = 1e-14                 # relative floor of the recursive halving of tol
 _FLOAT_FLOOR = 1024 * np.finfo(float).eps
@@ -90,6 +97,24 @@ def discrete_winding(gamma, w: complex) -> int:
     return int(round(float(np.angle(np.roll(d, -1) / d).sum()) / (2.0 * np.pi)))
 
 
+def convexity_check(curve: BoundaryCurve) -> ConvexityReport:
+    """The turning verdict of ``curve`` at its own samples, refining nothing."""
+    return verdict_from_increments(turning_increments(curve.tangent), curve.theta)
+
+
+def turning_rate(f: HarmonicMap, r: float, theta) -> np.ndarray:
+    """d/dtheta arg of the tangent of theta -> f(r e^{i theta}), in closed form:
+
+        kappa = Re[(z h' + z^2 h'' + conj(z g' + z^2 g'')) / (z h' - conj(z g'))]
+
+    from the datum's stacked (h', g') and (h'', g'') pairs; no quadrature.
+    """
+    z = r * np.exp(1j * np.asarray(theta, dtype=float))
+    (h1, g1), (h2, g2) = f.shear.d1_pair(z), f.shear.d2_pair(z)
+    num = z * h1 + z * z * h2 + np.conj(z * g1 + z * z * g2)
+    return (num / (z * h1 - np.conj(z * g1))).real
+
+
 def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> list:
     """``curves.winding(points, r)`` with each round judging every step of
     the curve for every unsettled point, and the same refinements.  Each
@@ -99,7 +124,7 @@ def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> l
     out = [None] * m.size
     live = np.arange(m.size)
     theta, gamma, _ = curves._base(r)
-    for _ in range(WINDING_MAX_ROUNDS):
+    for _ in range(REFINE_MAX_ROUNDS):
         chord = np.abs(np.roll(gamma, -1) - gamma)
         d = gamma[None, :] - m[live, None]
         dist = np.abs(d)
@@ -118,9 +143,9 @@ def full_round_winding(curves: _WindingCurves, points, r: float, sums=None) -> l
         if not live.size:
             break
         union = bad.any(axis=0)
-        if theta.size + 7 * int(union.sum()) > WINDING_SAMPLES_MAX:
+        if theta.size + 7 * int(union.sum()) > REFINE_SAMPLES_MAX:
             break
-        theta, gamma = curves._refine(r, theta, union)
+        theta, gamma = curves._refine(r, theta, np.flatnonzero(union))
     return out
 
 

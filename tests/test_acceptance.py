@@ -14,8 +14,7 @@ import pytest
 
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    ZeroOmega, catalog, make_schwarz)
-from shearconvex.geometry import (convexity_check, convexity_check_resolved,
-                                  sample_boundary)
+from shearconvex.geometry import convexity_check_resolved, sample_boundary
 from shearconvex.probe import (ProbeConfig, midpoint_certificate,
                                probe_admissibility)
 from shearconvex.quadrature import antiderivative_many
@@ -23,7 +22,7 @@ from shearconvex.reproduce import CASES
 from shearconvex.shear import (ShearSystem, harmonic_from_analytic,
                                shear_construct)
 
-from oracles import discrete_winding, integrate_segment
+from oracles import convexity_check, discrete_winding, integrate_segment
 
 LADDER = (0.9, 0.99, 0.999)
 

@@ -120,9 +120,14 @@ def test_refined_subpoints_on_a_pole_step(name):
     theta = curves._base(r)[0]
     for _ in range(3):
         gap = np.abs(np.angle(np.exp(1j * (theta - pole))))
-        bad = gap <= np.sort(gap)[3]
-        theta, gamma = curves._refine(r, theta, bad)
-    assert theta.size == 2048 + 7 * 4 * 3
+        theta, gamma = curves._refine(r, theta, np.flatnonzero(gap <= np.sort(gap)[3]))
+    # the monomial -xi z adds the angle where 1 - eta*omega vanishes on the
+    # circle, the pole angle itself, to the uniform base; the Blaschke omega
+    # adds none
+    poles = f.shear.pole_angles
+    assert poles.size == (0 if name.startswith("H,") else 1)
+    assert np.isin(poles, theta).all() and np.allclose(poles, pole)
+    assert theta.size == 2048 + poles.size + 7 * 4 * 3
     hg = curves._curves[r][2]
     assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
     assert _drift(f, r, theta, hg) <= DRIFT
@@ -218,12 +223,11 @@ def test_refinement_inserts_samples_in_curve_order():
     samples = [(theta, curves._curves[r][2])]
     for _ in range(2):
         old, old_hg = theta, curves._curves[r][2]
-        bad = np.zeros(old.size, dtype=bool)
-        bad[[0, 5, -1]] = True
-        theta, gamma = curves._refine(r, old, bad)
+        first = np.array([0, 5, old.size - 1])
+        theta, gamma = curves._refine(r, old, first)
         hg = curves._curves[r][2]
         assert theta.size == old.size + 21 and (np.diff(theta) > 0.0).all()
-        at = np.arange(old.size) + 7 * np.searchsorted(np.flatnonzero(bad), np.arange(old.size))
+        at = np.arange(old.size) + 7 * np.searchsorted(first, np.arange(old.size))
         assert np.array_equal(theta[at], old) and np.array_equal(hg[:, at], old_hg)
         assert np.array_equal(gamma, hg[0] + np.conj(hg[1]))
         new = np.ones(theta.size, dtype=bool)

@@ -60,6 +60,27 @@ def test_csv_roundtrip_preserves_verdict(tmp_path, capsys):
     assert re_rep.worst_backturn == pytest.approx(rep["worst_backturn"], rel=1e-9)
 
 
+def test_readme_convexity_example_is_refined_to_non_convex(tmp_path, capsys):
+    # the README's example curve is reproduce f0's row 4: the aliased steps
+    # of its 4096 base samples are split, so "n" counts the refined curve,
+    # and the CSV of that non-uniform curve still gives the same verdict
+    csv_path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, "convexity", "--phi", "H", "--omega", "monomial:N=1",
+                       "--eta", "1,0", "--r", "0.99", "--csv", str(csv_path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "NON_CONVEX" and rep["max_step"] <= 1.5
+    assert rep["n"] > 4096
+    assert rep["n"] == len(rep["curve"]["theta"]) == len(rep["curve"]["re"]) \
+        == len(rep["curve"]["im"])
+    rows = csv_path.read_text().strip().splitlines()
+    data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
+    assert data.shape == (rep["n"], 4) and (np.diff(data[:, 0]) > 0.0).all()
+    re_rep = verdict_from_increments(data[:, 3], data[:, 0])
+    assert re_rep.verdict == "NON_CONVEX"
+    assert re_rep.worst_backturn == pytest.approx(rep["worst_backturn"], rel=1e-9)
+
+
 def test_svg_is_pure_function_of_report(tmp_path, capsys):
     svg_path = tmp_path / "curve.svg"
     code, out, _ = run(capsys, "convexity", "--phi", "H", "--omega", "monomial:N=1",

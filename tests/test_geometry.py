@@ -5,17 +5,16 @@ import pytest
 
 from shearconvex import geometry
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import (MAX_TRUSTED_STEP, TURNING_SAMPLES, TURNING_SAMPLES_MAX,
-                                  convexity_check,
+from shearconvex.geometry import (MAX_TRUSTED_STEP, TURNING_SAMPLES,
                                   convexity_check_resolved,
                                   directional_convexity_check,
                                   parabola_residual, sample_boundary,
                                   turning_increments, verdict_from_increments)
 from shearconvex.probe import _WindingCurves
 from shearconvex.shear import ShearSystem, harmonic_from_analytic, shear_construct
-from shearconvex.specs import parse_phi
+from shearconvex.specs import DEFAULT_FAMILY, DEFAULT_RADII, family_from_spec, parse_phi
 
-from oracles import discrete_winding
+from oracles import convexity_check, discrete_winding, turning_rate
 
 IDENTITY = harmonic_from_analytic(catalog(CatalogId("IDENTITY")))
 H_MAP = harmonic_from_analytic(catalog(CatalogId("H")))
@@ -208,20 +207,51 @@ def test_tangents_equal_the_direct_evaluation(f0, n):
     assert np.array_equal(c.tangent, 1j * z * h1 - 1j * np.conj(z * g1))
 
 
-def test_resolved_check_matches_the_rung_by_rung_loop():
-    # H@rot with omega = -xi z at r = 0.999 escalates to the last rung; the
-    # escalating rungs judge only their largest step
-    xi = complex(np.exp(1.3231j))
-    f = shear_construct(ShearSystem(parse_phi(f"H@rot:re={xi.real!r},im={xi.imag!r}"),
-                                    make_schwarz(MonomialOmega(-xi, 1)), -1.0))
-    n = TURNING_SAMPLES
-    while True:
-        ref_curve = sample_boundary(f, 0.999, n)
-        ref = convexity_check(ref_curve)
-        if ref.max_step <= MAX_TRUSTED_STEP or n >= TURNING_SAMPLES_MAX:
-            break
-        n = min(4 * n, TURNING_SAMPLES_MAX)
-    assert n == TURNING_SAMPLES_MAX
-    curve, rep = convexity_check_resolved(f, 0.999)
-    assert rep == ref and curve.n == n
-    assert np.array_equal(curve.tangent, ref_curve.tangent)
+def _hrot(angle):
+    xi = complex(np.exp(1j * angle))
+    return shear_construct(ShearSystem(parse_phi(f"H@rot:re={xi.real!r},im={xi.imag!r}"),
+                                       make_schwarz(MonomialOmega(-xi, 1)), -1.0))
+
+
+@pytest.mark.parametrize("name,r", [("H@rot 1.3231", 0.999), ("f0", 0.99), ("H", 0.999)])
+def test_refined_curves_keep_the_base_and_exact_tangents(f0, name, r):
+    # the refined curve is the uniform base plus split steps, in curve order;
+    # a resolved verdict has no step above the trust limit, and every tangent,
+    # base or inserted, is the direct evaluation bit for bit
+    f = {"H@rot 1.3231": _hrot(1.3231), "f0": f0, "H": H_MAP}[name]
+    base = sample_boundary(f, r, TURNING_SAMPLES)
+    curve, rep = convexity_check_resolved(f, r)
+    assert curve.n == rep.n == curve.theta.size > TURNING_SAMPLES
+    assert (np.diff(curve.theta) > 0.0).all() and curve.theta[-1] < 2.0 * np.pi
+    kept = np.isin(curve.theta, base.theta)
+    assert kept.sum() == TURNING_SAMPLES
+    assert np.array_equal(curve.tangent[kept], base.tangent)
+    assert rep.verdict != "INCONCLUSIVE"
+    assert rep.max_step <= MAX_TRUSTED_STEP
+    z = r * np.exp(1j * curve.theta)
+    h1, g1 = f.derivatives(z)
+    assert np.array_equal(curve.tangent, 1j * z * h1 - 1j * np.conj(z * g1))
+    assert rep == verdict_from_increments(turning_increments(curve.tangent), curve.theta)
+
+
+@pytest.mark.parametrize("phi", ["H", "Llambda:re=0.0,im=1.0"])
+def test_default_family_verdicts_agree_with_the_turning_rate(phi):
+    # every level curve of the default family resolves, and it is NON_CONVEX
+    # exactly when the closed-form turning rate is negative at a base angle
+    theta = np.linspace(0.0, 2.0 * np.pi, TURNING_SAMPLES, endpoint=False)
+    mismatched = []
+    for omega in family_from_spec(DEFAULT_FAMILY):
+        f = shear_construct(ShearSystem(parse_phi(phi), omega, -1.0))
+        for r in DEFAULT_RADII:
+            _, rep = convexity_check_resolved(f, r)
+            back = bool((turning_rate(f, r, theta) < -1e-6).any())
+            if rep.verdict == "INCONCLUSIVE" or (rep.verdict == "NON_CONVEX") != back:
+                mismatched.append((omega.spec.text, r, rep.verdict, back))
+    assert mismatched == []
+
+
+def test_without_refinement_rounds_the_f0_curve_is_inconclusive(f0, monkeypatch):
+    monkeypatch.setattr(geometry, "REFINE_MAX_ROUNDS", 0)
+    curve, rep = convexity_check_resolved(f0, 0.99)
+    assert rep.verdict == "INCONCLUSIVE" and rep.max_step > 1.5
+    assert curve.n == TURNING_SAMPLES

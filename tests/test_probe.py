@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shearconvex.probe
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
@@ -55,6 +56,25 @@ def test_vertical_shears_of_h_probe_clean():
                                           family_spec=SMALL_FAMILY))
     assert rep.summary == "NO_FAILURE_FOUND"
     assert "does not prove admissibility" in rep.to_jsonable()["disclaimer"]
+
+
+def _monomial(lam: complex) -> str:
+    return f"explicit:monomial:lam_re={lam.real!r},lam_im={lam.imag!r},N=1"
+
+
+@settings(max_examples=32, deadline=None)
+@given(angle=st.floats(0.25, 2.0 * np.pi - 0.25).filter(lambda a: abs(a - np.pi) >= 0.25))
+def test_rotated_half_plane_verdicts_do_not_depend_on_the_frame(angle):
+    # conj(xi) f(xi z) for the shear f of (H, -conj(xi)^2 z, -xi^2), whose
+    # h' has its pole at z = 1, is the shear of (H@rot:xi, -xi z, -1), whose
+    # pole sits at conj(xi): both frames must reach the same summary
+    xi = complex(np.exp(1j * angle))
+    rotated = probe_admissibility(ProbeConfig(
+        phi_spec=f"H@rot:re={xi.real!r},im={xi.imag!r}", eta=-1.0 + 0.0j,
+        family_spec=_monomial(-xi)))
+    pole = probe_admissibility(ProbeConfig(phi_spec="H", eta=-xi * xi,
+                                           family_spec=_monomial(-xi.conjugate() ** 2)))
+    assert rotated.summary == pole.summary == "FAILURE"
 
 
 def test_probe_json_config_block_is_pinned(f0_report):
@@ -121,25 +141,18 @@ def test_newton_preimage_finds_interior_points():
     assert abs(f.map_points(z) - w) < 1e-7
 
 
-def test_a_false_winding_zero_is_refused_by_newton(monkeypatch):
-    # ROADMAP item 5's second false zero: for H with omega = -z^2 at eta = -1
-    # the batched winding gates take m ~ 299.93 - 147035.58i as outside at
-    # every larger radius, yet f(z) = m at |z| ~ 0.99909.  Until the winding
-    # gate is sound, the Newton gate alone keeps this m from a FAILURE.
-    seen = []
-
-    def recording_newton(f, m, anchors=()):
-        z = newton_preimage(f, m, anchors)
-        seen.append((f, m, z))
-        return z
-    monkeypatch.setattr(shearconvex.probe, "newton_preimage", recording_newton)
-    rep = probe_admissibility(ProbeConfig(
-        phi_spec="H", eta=-1.0 + 0.0j,
-        family_spec="explicit:monomial:lam_re=-1.0,lam_im=1.2246467991473532e-16,N=2"))
-    assert rep.summary == "NO_FAILURE_FOUND"
-    assert len(seen) == 1
-    f, m, z = seen[0]
-    assert m == pytest.approx(299.93 - 147035.58j, abs=0.01)
+def test_a_false_winding_zero_is_refused_by_newton():
+    # ROADMAP item 6's false zero, pinned on the two gates themselves: for H
+    # with omega = -z^2 at eta = -1 the trusted winding of this m is 0 at
+    # both extension radii of the sweep ladder, yet f(z) = m at |z| ~ 0.99909.
+    # Until the winding gate is sound, only the Newton gate refuses such an m.
+    f = shear_construct(ShearSystem(
+        catalog(CatalogId("H")),
+        parse_omega("monomial:lam_re=-1.0,lam_im=1.2246467991473532e-16,N=2"), -1.0))
+    m = 299.9314610325063 - 147035.57701547028j
+    for r in shearconvex.probe._extension_radii(0.999):
+        assert _WindingCurves(f).winding([m], r) == [0]
+    z = newton_preimage(f, m)
     assert z is not None and abs(z) == pytest.approx(0.99909, abs=1e-5)
     assert abs(f.map_points(z) - m) <= NEWTON_TOL * (1.0 + abs(m))
 
@@ -193,7 +206,7 @@ def test_a_winding_past_the_sample_cap_is_untrusted(f0, monkeypatch):
     assert len(candidates) == 12
     assert _WindingCurves(f0).winding(candidates, 0.99) == [0] * 12
     # with no room to refine, every point that needs a refinement round is None
-    monkeypatch.setattr(shearconvex.probe, "WINDING_SAMPLES_MAX", WINDING_SAMPLES)
+    monkeypatch.setattr(shearconvex.probe, "REFINE_SAMPLES_MAX", WINDING_SAMPLES)
     assert _WindingCurves(f0).winding(candidates, 0.99) == [None] * 12
 
 
