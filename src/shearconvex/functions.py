@@ -18,6 +18,8 @@ closed-form derivatives:
 The rotated half-plane map z/(1-cz) = conj(c) H(cz) is no separate entry:
 it is :func:`rotate_analytic` of H by c (spec ``H@rot:re=..,im=..``).
 
+Each entry also carries the poles of phi' on the unit circle, a catalog fact.
+
 ``L_lam`` uses the principal logarithm; its argument is a Mobius map of the
 disk into a half-plane whose boundary line passes through 0 and whose
 interior contains 1, so the branch cut is never crossed.
@@ -56,12 +58,14 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """Analytic map on the unit disk with first and second derivatives."""
+    """Analytic map on the unit disk with first and second derivatives, and
+    the poles of its derivative on the unit circle where they are known."""
 
     label: str
     value_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
     d2_fn: Callable = field(repr=False)
+    poles: Tuple[complex, ...] = ()
 
     def eval(self, z) -> Tuple:
         return self.value_fn(z), self.d1_fn(z), self.d2_fn(z)
@@ -129,6 +133,10 @@ _CATALOG_CHANNELS = {
 }
 
 
+_CATALOG_POLES = {"H": (1 + 0j,), "H_ROT_MINUS1": (-1 + 0j,), "KOEBE": (1 + 0j,),
+                  "IDENTITY": (), "F0_H_PART": (1 + 0j,), "F0_G_PART": (1 + 0j,)}
+
+
 def _l_lambda_channels(lam: complex):
     lamc = np.conj(lam)
     pref = 1.0 / (2j * lam.imag)
@@ -143,9 +151,11 @@ def catalog(cid: Union[CatalogId, str], param: complex | None = None) -> Analyti
     if isinstance(cid, str):
         cid = CatalogId(cid, param)
     if cid.kind in _CATALOG_CHANNELS:
-        return AnalyticFunction(cid.text, *_CATALOG_CHANNELS[cid.kind])
+        return AnalyticFunction(cid.text, *_CATALOG_CHANNELS[cid.kind],
+                                poles=_CATALOG_POLES[cid.kind])
     if cid.kind == "L_LAMBDA":
-        return AnalyticFunction(cid.text, *_l_lambda_channels(cid.param))
+        return AnalyticFunction(cid.text, *_l_lambda_channels(cid.param),
+                                poles=(cid.param, cid.param.conjugate()))
     raise ValueError(f"unhandled catalog kind {cid.kind!r}")
 
 
@@ -153,7 +163,7 @@ def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
     """Rotation phi_xi(z) = conj(xi) * phi(xi z); preserves S-normalization.
 
     Chain rule gives d1 -> phi'(xi z) (the conj(xi)*xi factors cancel) and
-    d2 -> xi * phi''(xi z).
+    d2 -> xi * phi''(xi z); a pole p of phi' becomes one at conj(xi) p.
     """
     xi = require_unimodular(xi, "xi")
     xib = np.conj(xi)
@@ -162,7 +172,8 @@ def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
         f"rot({phi.label},xi={_fmt(xi.real)}{xi.imag:+}j)",
         lambda z: xib * v(xi * z),
         lambda z: d1(xi * z),
-        lambda z: xi * d2(xi * z))
+        lambda z: xi * d2(xi * z),
+        poles=tuple(complex(xib * p) for p in phi.poles))
 
 
 # ---------------------------------------------------------------------------

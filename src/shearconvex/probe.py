@@ -35,8 +35,7 @@ from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
                     format_eta, parse_phi)
 
-WINDING_SAMPLES = 2048
-MAX_TRUSTED_ARG_STEP = 1.8       # rad subtended at the query point per curve step
+WINDING_SAMPLES = 1024           # uniform angles of a winding curve's base grid
 BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractions of pi
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
@@ -59,11 +58,14 @@ class _WindingCurves:
     sample, and wherever a chord does not converge or a pole's excursion
     ends), which agrees with the radial route to about 1e-11 relative, and g
     solved from h; the winding is an integer, so that moves no verdict.
-    Each radius caches its theta (uniform plus the datum's pole angles),
-    curve and (h, g), in curve order.  Refinements accumulate: one round
-    splits the union of the bad steps of every unsettled point of a batch,
-    chaining the new samples from the h at each step's first sample, and
-    later batches at that radius reuse them.
+    Each radius caches its theta, curve and (h, g), in curve order.  The
+    base theta is ``WINDING_SAMPLES`` uniform angles plus, at each angle a of
+    ``ShearSystem.pole_angles``, a and a +- (1 - r) 2^k (k = 0, 1, ...) below
+    half the uniform spacing: the curve turns fastest within about 1 - r of
+    a pole of h'.  Refinements accumulate: one round splits the union of the
+    bad steps of every unsettled point of a batch, chaining the new samples
+    from the h at each step's first sample, and later batches at that radius
+    reuse them.
     """
 
     def __init__(self, f: HarmonicMap):
@@ -77,8 +79,11 @@ class _WindingCurves:
     def _base(self, r: float):
         got = self._curves.get(r)
         if got is None:
+            d = (1.0 - r) * 2.0 ** np.arange(64)
+            d = d[d < np.pi / WINDING_SAMPLES]
+            graded = self.f.shear.pole_angles[:, None] + np.concatenate([[0.0], -d, d])
             theta = np.union1d(np.linspace(0.0, 2.0 * np.pi, WINDING_SAMPLES, endpoint=False),
-                               self.f.shear.pole_angles)
+                               graded % (2.0 * np.pi))
             hg = self._positions(r, theta)
             got = self._curves[r] = (theta, hg[0] + np.conj(hg[1]), hg)
         return got
@@ -95,13 +100,13 @@ class _WindingCurves:
         """Winding of the radius-r image curve around each point, in input
         order; None where it is untrustable.
 
-        Two failure modes of the discrete sum are handled by local
-        subdivision: a step subtending an angle near pi at the query point
-        (hairline pockets), and a step whose chord is comparable to the
-        distance from the query point (the curve can excursion around m and
-        back between such samples, hiding a full turn from the principal
-        value).  Each round judges the steps of every unsettled point at
-        once; a point without a bad step settles, and the union of the
+        A step whose chord exceeds half the smaller distance from the query
+        point to its ends is not trusted: the curve can make an excursion
+        around m and back between such samples, hiding a full turn from the
+        principal value.  A trusted step subtends at most arccos(7/8) ~ 0.505
+        rad at m, so a hairline pocket (a step subtending nearly pi) is never
+        trusted either.  Each round judges the steps of every unsettled point
+        at once; a point without a bad step settles, and the union of the
         others' bad steps is refined in one call.  A step that refinement
         left alone keeps its endpoints, its angle and its verdict, so later
         rounds judge only the steps that refinement made.  A point on the
@@ -126,8 +131,7 @@ class _WindingCurves:
             if not off.all():
                 live, d0, d1, dist0, dist1 = (a[off] for a in (live, d0, d1, dist0, dist1))
             darg = np.angle(d1 / d0)
-            bad = (np.abs(darg) > MAX_TRUSTED_ARG_STEP) \
-                | (chord > 0.5 * np.minimum(dist0, dist1))
+            bad = chord > 0.5 * np.minimum(dist0, dist1)
             settled = ~bad.any(axis=1)
             turns = np.round((kept[live[settled]] + darg[settled].sum(axis=1)) / (2.0 * np.pi))
             for i, w in zip(live[settled], turns):
@@ -244,14 +248,11 @@ def _candidate_midpoints(f: HarmonicMap, r: float, anchors: Sequence[float]) -> 
     outside the image curve at every larger radius certifies non-convexity
     of the full image.
     """
-    out = []
-    for anchor in anchors:
-        deltas = np.pi * np.array(BRACKETS)
-        z_pairs = r * np.exp(1j * np.concatenate([anchor - deltas, anchor + deltas]))
-        w = f.map_points(z_pairs)
-        k = len(BRACKETS)
-        out.extend(complex(v) for v in (w[:k] + w[k:]) / 2.0)
-    return out
+    deltas = np.pi * np.array(BRACKETS)
+    a = np.asarray(anchors, dtype=float)[:, None]
+    w = f.map_points(r * np.exp(1j * np.concatenate([a - deltas, a + deltas], axis=1)))
+    k = len(BRACKETS)
+    return [complex(v) for v in ((w[:, :k] + w[:, k:]) / 2.0).ravel()]
 
 
 def _window_anchors(rep: ConvexityReport) -> list:

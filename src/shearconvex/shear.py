@@ -38,6 +38,7 @@ from .quadrature import antiderivative_many, chord_increments
 
 S_NORMALIZATION_TOL = 1e-10
 CHAIN_STRIDE = 128               # circle samples per radial anchor when chaining
+POLE_MERGE_TOL = 1e-12           # rad; pole angles closer than this are one pole
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,17 @@ class ShearSystem:
 
     @property
     def pole_angles(self) -> np.ndarray:
-        """Angles of the zeros of 1 - eta*omega on |z| = 1: z^N = conj(eta lam) for lam z^N."""
+        """Angles in [0, 2 pi) of the poles of h' = phi'/(1 - eta*omega) on |z| = 1,
+        ascending, each once: phi's catalog poles and, for omega = lam z^N, the
+        N zeros of 1 - eta*omega (z^N = conj(eta lam)); a Blaschke omega's are
+        not listed.  H@rot:xi with omega = -xi z has both poles at conj(xi)."""
+        angles = [np.angle(np.asarray(self.phi.poles, dtype=complex))]
         om = self.omega.spec
-        if not isinstance(om, MonomialOmega):
-            return np.empty(0)
-        return (2 * np.pi * np.arange(om.n) - np.angle(self.eta * om.lam)) / om.n % (2 * np.pi)
+        if isinstance(om, MonomialOmega):
+            angles.append((2 * np.pi * np.arange(om.n) - np.angle(self.eta * om.lam)) / om.n)
+        # the second mod folds a tiny negative angle, rounded up to 2 pi, to 0
+        a = np.sort(np.concatenate(angles) % (2 * np.pi) % (2 * np.pi))
+        return a[np.diff(a, prepend=a[-1:] - 2 * np.pi) > POLE_MERGE_TOL]
 
     def h_prime(self, z):
         """h' = phi'/(1 - eta*omega), the only quadrature integrand."""

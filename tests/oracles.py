@@ -32,12 +32,13 @@ import numpy as np
 
 from shearconvex.geometry import (REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX, BoundaryCurve,
                                   ConvexityReport, turning_increments, verdict_from_increments)
-from shearconvex.probe import MAX_TRUSTED_ARG_STEP, _WindingCurves
+from shearconvex.probe import _WindingCurves
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
 from shearconvex.shear import HarmonicMap
 
 REL_TOL = 1e-14                 # relative floor of the recursive halving of tol
 _FLOAT_FLOOR = 1024 * np.finfo(float).eps
+MAX_TRUSTED_ARG_STEP = 1.8      # rad subtended at the query point per curve step
 _X, _W = np.polynomial.legendre.leggauss(ORDER)
 
 

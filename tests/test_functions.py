@@ -151,3 +151,18 @@ def test_unimodular_inputs_are_renormalized():
     lam = (1 + 3e-10) * 1j
     cid = CatalogId("L_LAMBDA", lam)
     assert abs(abs(cid.param) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("xi", [1.0, np.exp(1.3231j)], ids=["unrotated", "rot 1.3231"])
+@pytest.mark.parametrize("cid", CATALOG_IDS, ids=lambda c: c.text)
+def test_catalog_poles_are_where_the_derivative_blows_up(cid, xi):
+    # each listed pole p is on the circle and |phi'| grows at least like
+    # 1/(1 - rho) toward it; rotating by xi moves every pole to conj(xi) p
+    phi = rotate_analytic(catalog(cid), xi)
+    expected = ([cid.param, np.conj(cid.param)] if cid.kind == "L_LAMBDA"
+                else {"IDENTITY": [], "H_ROT_MINUS1": [-1.0]}.get(cid.kind, [1.0]))
+    assert np.allclose(phi.poles, np.conj(xi) * np.array(expected, dtype=complex), atol=1e-15)
+    for p in phi.poles:
+        assert abs(abs(p) - 1.0) <= 1e-15
+        near, far = (abs(phi.d1((1.0 - eps) * p)) for eps in (1e-7, 1e-3))
+        assert near >= 1e3 * far

@@ -141,17 +141,19 @@ def test_newton_preimage_finds_interior_points():
     assert abs(f.map_points(z) - w) < 1e-7
 
 
-def test_a_false_winding_zero_is_refused_by_newton():
-    # ROADMAP item 6's false zero, pinned on the two gates themselves: for H
-    # with omega = -z^2 at eta = -1 the trusted winding of this m is 0 at
-    # both extension radii of the sweep ladder, yet f(z) = m at |z| ~ 0.99909.
-    # Until the winding gate is sound, only the Newton gate refuses such an m.
+def test_a_false_winding_zero_is_refused_by_the_winding_gate():
+    # ROADMAP item 6's false zero: for H with omega = -z^2 at eta = -1 the
+    # trusted winding of this m was 0 at both extension radii of the sweep
+    # ladder, with a 2048-angle base grid that did not pack samples toward
+    # h's poles at +-1, yet f(z) = m at |z| ~ 0.99909, which only the Newton
+    # gate caught.  The pole-graded grid counts the turn the sparse one hid;
+    # the winding gate itself must refuse m, and Newton still finds z.
     f = shear_construct(ShearSystem(
         catalog(CatalogId("H")),
         parse_omega("monomial:lam_re=-1.0,lam_im=1.2246467991473532e-16,N=2"), -1.0))
     m = 299.9314610325063 - 147035.57701547028j
     for r in shearconvex.probe._extension_radii(0.999):
-        assert _WindingCurves(f).winding([m], r) == [0]
+        assert _WindingCurves(f).winding([m], r) == [1]
     z = newton_preimage(f, m)
     assert z is not None and abs(z) == pytest.approx(0.99909, abs=1e-5)
     assert abs(f.map_points(z) - m) <= NEWTON_TOL * (1.0 + abs(m))

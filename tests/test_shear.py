@@ -372,3 +372,31 @@ def test_analytic_combination_reads_the_pair_once():
         assert counts["phi'"] == zs.size
         assert np.array_equal(d1, f.h.d1(zs) - mu * f.g.d1(zs))
         assert comb.value(0.3 + 0.2j) == f.h.value(0.3 + 0.2j) - mu * f.g.value(0.3 + 0.2j)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.3231, 2.9, 4.4])
+def test_pole_angles_list_every_pole_of_h_prime_once(a):
+    # the poles of h' = phi'/(1 - eta*omega) on the circle: phi's catalog
+    # poles merged with the zeros of 1 - eta*omega of a monomial omega; a pole
+    # both give (to rounding) is listed once, and |h'| blows up at each angle
+    xi = complex(np.exp(1j * a))
+    rot = rotate_analytic(H, xi)
+    cases = [
+        (ShearSystem(rot, make_schwarz(MonomialOmega(-xi, 1)), -1.0), [-a]),
+        (ShearSystem(H, make_schwarz(MonomialOmega(-np.conj(xi) ** 2, 1)), -xi * xi), [0.0]),
+        (ShearSystem(rot, make_schwarz(MonomialOmega(1.0, 2)), 1.0), [-a, 0.0, np.pi]),
+        (ShearSystem(catalog(CatalogId("L_LAMBDA", xi)), family_from_spec(DEFAULT_FAMILY)[27],
+                     -1.0), [a, -a]),
+        (ShearSystem(catalog(CatalogId("IDENTITY")), make_schwarz(ZeroOmega()), 1.0), []),
+        # lam = exp(i pi) as the sweeps spell it: its zero at 1 comes out 6e-17 off
+        (ShearSystem(H, make_schwarz(MonomialOmega(complex(-1.0, 1.2246467991473532e-16), 2)),
+                     -1.0), [0.0, np.pi]),
+    ]
+    for datum, expected in cases:
+        got = datum.pole_angles
+        assert np.allclose(got, np.sort(np.mod(expected, 2.0 * np.pi)), rtol=0.0, atol=1e-12)
+        assert ((0.0 <= got) & (got < 2.0 * np.pi)).all() and (np.diff(got) > 0.0).all()
+        for t in got:
+            near, far = (abs(datum.h_prime((1.0 - eps) * np.exp(1j * t)))
+                         for eps in (1e-7, 1e-3))
+            assert near >= 1e3 * far
