@@ -1,6 +1,7 @@
 """Boundary curves of harmonic maps and geometric convexity verdicts.
 
-The image of |z| = r under f = h + conj(g) is sampled at uniform angles.
+The image of |z| = r under f = h + conj(g) is sampled at uniform angles,
+then refined in place where the turning aliases (:func:`split_steps`).
 Tangents are exact:
 
     d/dtheta f(r e^{i theta}) = i z h'(z) - i conj(z g'(z)),   z = r e^{i theta}

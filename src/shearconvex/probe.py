@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, REFINE_MAX_ROUNDS,
                        REFINE_SAMPLES_MAX, TURNING_SAMPLES, ConvexityReport,
-                       convexity_check_resolved, sample_boundary, split_steps)
+                       convexity_check_resolved, split_steps)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
@@ -40,9 +40,7 @@ BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractio
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
 ONSET_STEPS = 8                  # bisection steps of the onset radius
-MODAL_ANGLE_TOL = 0.01           # rad; tangents this close to the mode are modal
-MODAL_FRAC = 0.5                 # share of modal samples a straight edge needs
-LINE_RESIDUAL_FRAC = 1e-3        # line-cluster width, fraction of the image span
+LINE_RESIDUAL_FRAC = 0.03        # straight: transverse spread / extent along the chord
 
 
 def _extension_radii(r_top: float) -> Tuple[float, float]:
@@ -56,8 +54,10 @@ class _WindingCurves:
     ``HarmonicMap.parts_on_circle``: h chained along chords between
     neighbouring samples from radial anchors (every ``CHAIN_STRIDE``-th
     sample, and wherever a chord does not converge or a pole's excursion
-    ends), which agrees with the radial route to about 1e-11 relative, and g
-    solved from h; the winding is an integer, so that moves no verdict.
+    ends), which agrees with the radial route to about 1e-11 relative (within
+    2e-4 of a pole, where |f| can fall to a twentieth of |h|, the radial
+    route is itself 1.3e-11 off the closed form), and g solved from h; the
+    winding is an integer, so that moves no verdict.
     Each radius caches its theta, curve and (h, g), in curve order.  The
     base theta is ``WINDING_SAMPLES`` uniform angles plus, at each angle a of
     ``ShearSystem.pole_angles``, a and a +- (1 - r) 2^k (k = 0, 1, ...) below
@@ -255,13 +255,18 @@ def _candidate_midpoints(f: HarmonicMap, r: float, anchors: Sequence[float]) -> 
     return [complex(v) for v in ((w[:, :k] + w[:, k:]) / 2.0).ravel()]
 
 
+def _window_mid(window: Tuple[float, float]) -> float:
+    """The angle halfway along the window (a, b), counter-clockwise from a."""
+    a, b = window
+    return (a + ((b - a) % (2.0 * np.pi)) / 2.0) % (2.0 * np.pi)
+
+
 def _window_anchors(rep: ConvexityReport) -> list:
     anchors = []
     if rep.worst_step_theta is not None:
         anchors.append(rep.worst_step_theta)
     if rep.witness is not None:
-        a, b = rep.witness
-        anchors.append((a + ((b - a) % (2.0 * np.pi)) / 2.0) % (2.0 * np.pi))
+        anchors.append(_window_mid(rep.witness))
     return anchors
 
 
@@ -313,9 +318,7 @@ def midpoint_certificate(f: HarmonicMap, r: float,
     None without a window (a curve with no back-turn) or without an escape."""
     if theta_window is None:
         return None
-    a, b = theta_window
-    mid = (a + ((b - a) % (2.0 * np.pi)) / 2.0) % (2.0 * np.pi)
-    candidates = [m for m in _candidate_midpoints(f, r, [mid])]
+    candidates = [m for m in _candidate_midpoints(f, r, [_window_mid(theta_window)])]
     windings = _WindingCurves(f).winding(candidates, r)
     return next((m for m, w in zip(candidates, windings) if w == 0), None)
 
@@ -434,8 +437,7 @@ class RegionId:
     kind: str                      # HALF_PLANE | STRIP | OTHER
     normal: Optional[complex] = None     # HALF_PLANE: {Re(conj(normal) w) > offset}
     offset: Optional[float] = None
-    direction: Optional[complex] = None  # STRIP axis; {a < Re(conj(n) w) < b}
-    a: Optional[float] = None
+    a: Optional[float] = None            # STRIP: {a < Re(conj(normal) w) < b}
     b: Optional[float] = None
 
     @property
@@ -448,57 +450,39 @@ class RegionId:
 def halfplane_strip_identifier(f: HarmonicMap) -> RegionId:
     """Classify the near-boundary image as half-plane, strip, or neither.
 
-    Straight boundary pieces reveal themselves through the tangent field:
-    most samples of a half-plane (resp. strip) image share one tangent
-    direction mod pi.  The dominant direction is the histogram mode; the
-    transverse coordinates of the modal points then cluster on one line
-    (half-plane, all remaining samples on a single side) or two (strip,
-    everything in between).  Extreme transverse samples estimate the line
-    offsets, accurate to O(1 - r) at r = ``NEAR_BOUNDARY_RADIUS``.
+    The boundary runs off to infinity only at ``ShearSystem.pole_angles``,
+    so each arc between consecutive poles maps to one piece of it.  The
+    middle half of an arc, read at r = ``NEAR_BOUNDARY_RADIUS``, is straight
+    when it advances monotonically along its end-to-end chord d with a
+    transverse spread of at most ``LINE_RESIDUAL_FRAC`` times its extent.
+    One pole with a straight arc is a half-plane, two with straight arcs
+    running in opposite directions a strip, anything else OTHER.  The curve
+    is positively oriented, so the inward normal is i d; each offset is the
+    extreme transverse sample, off by O((1 - r) / gap) on an arc of angle
+    gap; a strip's normal has Re >= 0.  The answer is only as complete as ``pole_angles``: a Blaschke
+    omega's zeros of 1 - eta omega are not listed and bend an arc, and a
+    monomial shear's extra poles make three or more ends; both give OTHER.
     """
-    curve = sample_boundary(f, NEAR_BOUNDARY_RADIUS, TURNING_SAMPLES)
-    gamma, tang = curve.gamma, curve.tangent
-    ang = np.angle(tang) % np.pi
-    hist, edges = np.histogram(ang, bins=720, range=(0.0, np.pi))
-    b = int(hist.argmax())
-    center = (edges[b] + edges[b + 1]) / 2.0
-    dist = np.abs(ang - center)
-    dist = np.minimum(dist, np.pi - dist)
-    modal = dist <= MODAL_ANGLE_TOL
-    if modal.mean() < MODAL_FRAC:
+    poles = f.shear.pole_angles
+    if not 1 <= poles.size <= 2:
         return RegionId("OTHER")
-    span = float(np.hypot(gamma.real.max() - gamma.real.min(),
-                          gamma.imag.max() - gamma.imag.min()))
-    tol = LINE_RESIDUAL_FRAC * span
-    beta = 0.5 * np.angle(np.exp(2j * ang[modal]).mean())
-    if beta < 0:
-        beta += np.pi
-    nrm = 1j * np.exp(1j * beta)
+    gaps = np.diff(poles, append=poles[0] + 2.0 * np.pi)
+    # an odd count makes each arc's midpoint a sample
+    theta = poles[:, None] + gaps[:, None] * np.linspace(0.25, 0.75, TURNING_SAMPLES // 2 + 1)
+    hg = f.parts_on_circle(NEAR_BOUNDARY_RADIUS, theta)
+    gamma = hg[0] + np.conj(hg[1])
+    d = (gamma[:, -1] - gamma[:, 0]) / np.abs(gamma[:, -1] - gamma[:, 0])
+    u = np.conj(d[:, None]) * (gamma - gamma[:, :1])
+    if not (np.all(np.diff(u.real) > 0)
+            and np.all(np.ptp(u.imag, axis=1) <= LINE_RESIDUAL_FRAC * u.real[:, -1])):
+        return RegionId("OTHER")
+    nrm = complex(1j * d[0])
     q = (np.conj(nrm) * gamma).real
-    qm = np.sort(q[modal])
-    if qm[-1] - qm[0] <= 2.0 * tol:
-        clusters = [qm]
-    else:
-        gi = int(np.diff(qm).argmax())
-        clusters = [qm[: gi + 1], qm[gi + 1:]]
-    clusters = [c for c in clusters
-                if c.size >= 0.05 * qm.size and c[-1] - c[0] <= 2.0 * tol]
-    if len(clusters) == 2:
-        a, b2 = float(q.min()), float(q.max())
-        lo = min(float(c.mean()) for c in clusters)
-        hi = max(float(c.mean()) for c in clusters)
-        if a >= lo - tol and b2 <= hi + tol:
-            if nrm.real < 0 or (abs(nrm.real) < 1e-12 and nrm.imag < 0):
-                nrm, a, b2 = -nrm, -b2, -a
-            return RegionId("STRIP", direction=complex(np.exp(1j * beta)),
-                            normal=complex(nrm), a=a, b=b2)
+    if poles.size == 1:
+        return RegionId("HALF_PLANE", normal=nrm, offset=float(q.min()))
+    if abs(d[0] + d[1]) > LINE_RESIDUAL_FRAC:
         return RegionId("OTHER")
-    if len(clusters) == 1:
-        c = clusters[0]
-        width = float(c[-1] - c[0])
-        mid = float((c[0] + c[-1]) / 2.0)
-        if mid - q.min() <= tol + width:                 # cluster at the bottom
-            return RegionId("HALF_PLANE", normal=complex(nrm), offset=float(q.min()))
-        if q.max() - mid <= tol + width:                 # cluster at the top
-            return RegionId("HALF_PLANE", normal=complex(-nrm), offset=float(-q.max()))
-    return RegionId("OTHER")
+    a, b = float(q[0].min()), float(q[1].max())
+    if nrm.real < 0:
+        nrm, a, b = -nrm, -b, -a
+    return RegionId("STRIP", normal=nrm, a=a, b=b)

