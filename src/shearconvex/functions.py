@@ -80,6 +80,49 @@ class AnalyticFunction:
         return self.d2_fn(z)
 
 
+def _l_lambda(lam: complex):
+    """The catalog entry of L_lam: its text, the poles lam and conj(lam), its channels."""
+    lamc = np.conj(lam)
+    pref = 1.0 / (2j * lam.imag)
+    return (f"Llambda:re={_fmt(lam.real)},im={_fmt(lam.imag)}",
+            (lam, lam.conjugate()),
+            ((lambda z: pref * np.log((1.0 - lamc * z) / (1.0 - lam * z))),
+             (lambda z: 1.0 / ((1.0 - lam * z) * (1.0 - lamc * z))),
+             (lambda z: (2.0 * lam.real - 2.0 * z)
+              / ((1.0 - lam * z) * (1.0 - lamc * z)) ** 2)))
+
+
+# kind -> (text, poles of phi' on the unit circle, (value, d1, d2)); the
+# L_LAMBDA entry is built from its parameter by ``_l_lambda``
+_CATALOG = {
+    "H": ("H", (1 + 0j,),
+          (lambda z: z / (1.0 - z),
+           lambda z: 1.0 / (1.0 - z) ** 2,
+           lambda z: 2.0 / (1.0 - z) ** 3)),
+    "H_ROT_MINUS1": ("H-1", (-1 + 0j,),
+                     (lambda z: z / (1.0 + z),
+                      lambda z: 1.0 / (1.0 + z) ** 2,
+                      lambda z: -2.0 / (1.0 + z) ** 3)),
+    "L_LAMBDA": _l_lambda,
+    "KOEBE": ("koebe", (1 + 0j,),
+              (lambda z: z / (1.0 - z) ** 2,
+               lambda z: (1.0 + z) / (1.0 - z) ** 3,
+               lambda z: (4.0 + 2.0 * z) / (1.0 - z) ** 4)),
+    "IDENTITY": ("identity", (),
+                 (lambda z: z + 0j,
+                  lambda z: 1.0 + z * 0,
+                  lambda z: z * 0)),
+    "F0_H_PART": ("f0h", (1 + 0j,),
+                  (lambda z: (2.0 * z - z ** 2) / (2.0 * (1.0 - z) ** 2),
+                   lambda z: 1.0 / (1.0 - z) ** 3,
+                   lambda z: 3.0 / (1.0 - z) ** 4)),
+    "F0_G_PART": ("f0g", (1 + 0j,),
+                  (lambda z: z ** 2 / (2.0 * (1.0 - z) ** 2),
+                   lambda z: z / (1.0 - z) ** 3,
+                   lambda z: (1.0 + 2.0 * z) / (1.0 - z) ** 4)),
+}
+
+
 @dataclass(frozen=True)
 class CatalogId:
     """Identifier of a catalog entry; `param` is lam for L_LAMBDA."""
@@ -87,8 +130,7 @@ class CatalogId:
     kind: str
     param: complex | None = None
 
-    KINDS = ("H", "H_ROT_MINUS1", "L_LAMBDA", "KOEBE", "IDENTITY", "F0_H_PART",
-             "F0_G_PART")
+    KINDS = tuple(_CATALOG)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -104,59 +146,19 @@ class CatalogId:
             raise ValueError(f"{self.kind} takes no parameter")
 
     @property
+    def entry(self) -> tuple:
+        e = _CATALOG[self.kind]
+        return e(self.param) if callable(e) else e
+
+    @property
     def text(self) -> str:
-        if self.kind == "L_LAMBDA":
-            return f"Llambda:re={_fmt(self.param.real)},im={_fmt(self.param.imag)}"
-        return {"H": "H", "H_ROT_MINUS1": "H-1", "KOEBE": "koebe",
-                "IDENTITY": "identity", "F0_H_PART": "f0h", "F0_G_PART": "f0g"}[self.kind]
+        return self.entry[0]
 
 
-_CATALOG_CHANNELS = {
-    "H": (lambda z: z / (1.0 - z),
-          lambda z: 1.0 / (1.0 - z) ** 2,
-          lambda z: 2.0 / (1.0 - z) ** 3),
-    "H_ROT_MINUS1": (lambda z: z / (1.0 + z),
-                     lambda z: 1.0 / (1.0 + z) ** 2,
-                     lambda z: -2.0 / (1.0 + z) ** 3),
-    "KOEBE": (lambda z: z / (1.0 - z) ** 2,
-              lambda z: (1.0 + z) / (1.0 - z) ** 3,
-              lambda z: (4.0 + 2.0 * z) / (1.0 - z) ** 4),
-    "IDENTITY": (lambda z: z + 0j,
-                 lambda z: 1.0 + z * 0,
-                 lambda z: z * 0),
-    "F0_H_PART": (lambda z: (2.0 * z - z ** 2) / (2.0 * (1.0 - z) ** 2),
-                  lambda z: 1.0 / (1.0 - z) ** 3,
-                  lambda z: 3.0 / (1.0 - z) ** 4),
-    "F0_G_PART": (lambda z: z ** 2 / (2.0 * (1.0 - z) ** 2),
-                  lambda z: z / (1.0 - z) ** 3,
-                  lambda z: (1.0 + 2.0 * z) / (1.0 - z) ** 4),
-}
-
-
-_CATALOG_POLES = {"H": (1 + 0j,), "H_ROT_MINUS1": (-1 + 0j,), "KOEBE": (1 + 0j,),
-                  "IDENTITY": (), "F0_H_PART": (1 + 0j,), "F0_G_PART": (1 + 0j,)}
-
-
-def _l_lambda_channels(lam: complex):
-    lamc = np.conj(lam)
-    pref = 1.0 / (2j * lam.imag)
-    return ((lambda z: pref * np.log((1.0 - lamc * z) / (1.0 - lam * z))),
-            (lambda z: 1.0 / ((1.0 - lam * z) * (1.0 - lamc * z))),
-            (lambda z: (2.0 * lam.real - 2.0 * z)
-             / ((1.0 - lam * z) * (1.0 - lamc * z)) ** 2))
-
-
-def catalog(cid: Union[CatalogId, str], param: complex | None = None) -> AnalyticFunction:
-    """Build a catalog entry from a CatalogId (or bare kind string + param)."""
-    if isinstance(cid, str):
-        cid = CatalogId(cid, param)
-    if cid.kind in _CATALOG_CHANNELS:
-        return AnalyticFunction(cid.text, *_CATALOG_CHANNELS[cid.kind],
-                                poles=_CATALOG_POLES[cid.kind])
-    if cid.kind == "L_LAMBDA":
-        return AnalyticFunction(cid.text, *_l_lambda_channels(cid.param),
-                                poles=(cid.param, cid.param.conjugate()))
-    raise ValueError(f"unhandled catalog kind {cid.kind!r}")
+def catalog(cid: CatalogId) -> AnalyticFunction:
+    """Build the catalog entry ``cid``."""
+    text, poles, channels = cid.entry
+    return AnalyticFunction(text, *channels, poles=poles)
 
 
 def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
@@ -239,7 +241,6 @@ OmegaSpec = Union[ZeroOmega, MonomialOmega, BlaschkeOmega]
 class SchwarzFunction:
     """Analytic omega with omega(0) = 0 and |omega| < 1 on the disk."""
 
-    label: str
     spec: OmegaSpec
     value_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
@@ -276,15 +277,14 @@ def _blaschke_channels(spec: BlaschkeOmega):
 
 def make_schwarz(spec: OmegaSpec) -> SchwarzFunction:
     if isinstance(spec, ZeroOmega):
-        return SchwarzFunction("zero", spec, lambda z: z * 0, lambda z: z * 0)
+        return SchwarzFunction(spec, lambda z: z * 0, lambda z: z * 0)
     if isinstance(spec, MonomialOmega):
         lam, n = spec.lam, spec.n
         if n == 1:
-            return SchwarzFunction(spec.text, spec,
-                                   lambda z: lam * z, lambda z: lam + z * 0)
-        return SchwarzFunction(spec.text, spec,
+            return SchwarzFunction(spec, lambda z: lam * z, lambda z: lam + z * 0)
+        return SchwarzFunction(spec,
                                lambda z: lam * z ** n,
                                lambda z: lam * n * z ** (n - 1))
     if isinstance(spec, BlaschkeOmega):
-        return SchwarzFunction(spec.text, spec, *_blaschke_channels(spec))
+        return SchwarzFunction(spec, *_blaschke_channels(spec))
     raise ValueError(f"unknown Schwarz spec {spec!r}")

@@ -37,6 +37,7 @@ from .shear import HarmonicMap
 MAX_TRUSTED_STEP = 1.5          # rad; above this a step may alias (true step > pi)
 TOTAL_TURNING_TOL = 1e-3        # accepted deviation of total turning from 2 pi
 BACKTURN_TOL = 1e-6             # rad; back-turn budget of a CONVEX verdict
+NON_CONVEX_BACKTURN = 10.0 * BACKTURN_TOL   # rad; a worse back-turn is NON_CONVEX
 TURNING_SAMPLES = 4096          # uniform base samples of a resolved check
 REFINE_MAX_ROUNDS = 24          # split rounds per refined curve or winding query
 REFINE_SAMPLES_MAX = 131072     # a refinement round may not grow a curve past this
@@ -139,7 +140,7 @@ def verdict_from_increments(inc: np.ndarray, theta: np.ndarray) -> ConvexityRepo
         worst_step_theta = float(theta[int(inc.argmin())])
     if max_step > MAX_TRUSTED_STEP:
         verdict = "INCONCLUSIVE"
-    elif worst > 10.0 * BACKTURN_TOL:
+    elif worst > NON_CONVEX_BACKTURN:
         verdict = "NON_CONVEX"
     elif worst <= BACKTURN_TOL and abs(total - 2.0 * np.pi) <= TOTAL_TURNING_TOL:
         verdict = "CONVEX"

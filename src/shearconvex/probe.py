@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, REFINE_MAX_ROUNDS,
-                       REFINE_SAMPLES_MAX, TURNING_SAMPLES, ConvexityReport,
-                       convexity_check_resolved, split_steps)
+from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, NON_CONVEX_BACKTURN,
+                       REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX, TURNING_SAMPLES,
+                       ConvexityReport, convexity_check_resolved, split_steps)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
@@ -277,15 +277,19 @@ def newton_preimage(f: HarmonicMap, m: complex,
                     anchors: Sequence[float] = ()) -> Optional[complex]:
     """Solve f(z) = m inside the disk by damped Newton from a seed battery.
 
-    The linearization h'(z) dz + conj(g'(z) dz) = m - f(z) is a 2x2 real
-    system whose determinant is the Jacobian |h'|^2 - |g'|^2 > 0, so steps
-    are always defined.  A returned z constructively proves m lies in the
-    image; None means no seed converged (evidence, not proof, of escape).
+    With res = f(z) - m, the linearization h'(z) dz + conj(g'(z) dz) = -res
+    and its conjugate solve in closed form to
+
+        dz = (conj(g' res) - conj(h') res) / (|h'|^2 - |g'|^2),
+
+    whose denominator is the Jacobian, > 0 on the disk, so steps are always
+    defined.  A returned z constructively proves m lies in the image; None
+    means no seed converged (evidence, not proof, of escape).
     """
     angles = list(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
     for a in anchors:
         angles.extend([a, a - 0.02, a + 0.02])
-    z = np.array([rho * np.exp(1j * t) for rho in _SEED_RHOS for t in angles])
+    z = (np.array(_SEED_RHOS)[:, None] * np.exp(1j * np.array(angles))).ravel()
     for it in range(NEWTON_ITERS + 1):
         res = f.map_points(z) - m
         done = np.abs(res) <= NEWTON_TOL * (1.0 + abs(m))
@@ -294,13 +298,9 @@ def newton_preimage(f: HarmonicMap, m: complex,
         if it == NEWTON_ITERS:
             break
         h1, g1 = f.derivatives(z)
-        A = h1 + np.conj(g1)
-        B = 1j * (h1 - np.conj(g1))
-        det = A.real * B.imag - A.imag * B.real   # = |h'|^2 - |g'|^2
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        x = (-res.real * B.imag + res.imag * B.real) / det
-        y = (-A.real * res.imag + A.imag * res.real) / det
-        z_new = z + x + 1j * y
+        den = np.abs(h1) ** 2 - np.abs(g1) ** 2
+        den = np.where(np.abs(den) < 1e-300, 1e-300, den)
+        z_new = z + (np.conj(g1 * res) - np.conj(h1) * res) / den
         # pull runaway iterates back toward the disk; the cap keeps every
         # iterate inside it and the quadrature grading depth bounded
         r_cap = 0.999999
@@ -355,8 +355,7 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     """
     ext = _extension_radii(cfg.radii[-1])
     curves = _WindingCurves(f)
-    suspicious = [r for r in cfg.radii
-                  if reports[r].worst_backturn > 10.0 * BACKTURN_TOL]
+    suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
     for r_anchor in reversed(suspicious):
         anchors = _window_anchors(reports[r_anchor])
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
@@ -383,43 +382,30 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
         key = omega.spec.text
         try:
             f = shear_construct(ShearSystem(phi, omega, cfg.eta))
-            rows = {}
-            reports: dict = {}
-            noncvx: List[float] = []
-            prev_ok: Optional[float] = None
-            floor_below: Optional[float] = None
-            for r in cfg.radii:
-                _, rep = convexity_check_resolved(f, r)
-                rows[repr(r)] = _record(rep)
-                reports[r] = rep
-                if rep.verdict == "NON_CONVEX":
-                    if not noncvx:
-                        floor_below = prev_ok
-                    noncvx.append(r)
-                elif rep.verdict == "CONVEX":
-                    prev_ok = r
-                    if noncvx:
-                        notes.append(f"scale coherence violated for omega={key}: "
-                                     f"CONVEX at r={r} above NON_CONVEX at r={noncvx[0]}")
-            per_omega[key] = rows
-            if not noncvx:
+            reports = {r: convexity_check_resolved(f, r)[1] for r in cfg.radii}
+            per_omega[key] = {repr(r): _record(rep) for r, rep in reports.items()}
+            r_witness = next((r for r in cfg.radii if reports[r].verdict == "NON_CONVEX"), None)
+            if r_witness is None:
                 continue
+            convex = [r for r in cfg.radii if reports[r].verdict == "CONVEX"]
+            r_floor = max((r for r in convex if r < r_witness), default=None)
+            notes.extend(f"scale coherence violated for omega={key}: "
+                         f"CONVEX at r={r} above NON_CONVEX at r={r_witness}"
+                         for r in convex if r > r_witness)
             # A sound failure needs a reproducible NON_CONVEX level curve plus
             # a midpoint certificate that no larger radius absorbs.
             found = _persistent_witness(f, cfg, reports)
             if found is None:
-                notes.append(f"omega={key}: level-curve back-turn at r={noncvx[0]} "
+                notes.append(f"omega={key}: level-curve back-turn at r={r_witness} "
                              "but every midpoint certificate is absorbed at a larger "
                              "radius (hereditary, not a failure)")
                 continue
             cert_r, m, higher = found
-            r_witness = noncvx[0]
             rep_w = reports[r_witness]
-            r_onset = _onset_radius(f, r_witness, floor_below)
             failures.append(FailureWitness(
                 omega_spec=key, r=r_witness, n=rep_w.n, theta_window=rep_w.witness,
-                worst_backturn=rep_w.worst_backturn, certificate_r=cert_r,
-                midpoint=m, persists_at=higher, r_onset=r_onset))
+                worst_backturn=rep_w.worst_backturn, certificate_r=cert_r, midpoint=m,
+                persists_at=higher, r_onset=_onset_radius(f, r_witness, r_floor)))
         except (ToleranceNotMet, ValueError) as exc:  # numerical casualty; keep sweeping
             per_omega[key] = {"error": f"{type(exc).__name__}: {exc}"}
             notes.append(f"omega={key}: construction/check failed: {exc}")

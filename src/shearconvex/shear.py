@@ -61,7 +61,7 @@ class ShearSystem:
     @property
     def label(self) -> str:
         e = self.eta
-        return f"shear(phi={self.phi.label},omega={self.omega.label},eta={e.real!r}{e.imag:+}j)"
+        return f"shear(phi={self.phi.label},omega={self.omega.spec.text},eta={e.real!r}{e.imag:+}j)"
 
     @property
     def analytic(self) -> bool:

@@ -9,7 +9,8 @@ import pytest
 import shearconvex.probe
 from shearconvex import quadrature
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import BACKTURN_TOL, convexity_check_resolved, sample_boundary
+from shearconvex.geometry import (NON_CONVEX_BACKTURN, convexity_check_resolved,
+                                  sample_boundary)
 from shearconvex.probe import (WINDING_SAMPLES, _WindingCurves, _candidate_midpoints,
                                _extension_radii, _window_anchors)
 from shearconvex.quadrature import chord_increments
@@ -188,7 +189,7 @@ def _witness_queries(f):
     reports = {r: convexity_check_resolved(f, r)[1] for r in LADDER}
     queries = []
     for r_anchor in reversed([r for r in LADDER
-                              if reports[r].worst_backturn > 10.0 * BACKTURN_TOL]):
+                              if reports[r].worst_backturn > NON_CONVEX_BACKTURN]):
         higher = sorted(tuple(r for r in LADDER if r > r_anchor)
                         + _extension_radii(LADDER[-1]), reverse=True)
         batch = list(_candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])))

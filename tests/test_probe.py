@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import shearconvex.probe
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
-from shearconvex.geometry import (TURNING_SAMPLES, convexity_check_resolved,
+from shearconvex.geometry import (TURNING_SAMPLES, ConvexityReport, convexity_check_resolved,
                                   directional_convexity_check, sample_boundary)
 from shearconvex.probe import (NEWTON_TOL, ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
                                _WindingCurves, halfplane_strip_identifier,
@@ -130,6 +130,31 @@ def test_family_generation():
 def test_scale_coherence_not_violated_for_f0(f0_report):
     _, rep = f0_report
     assert not any("coherence" in n for n in rep.notes)
+
+
+def test_ladder_bookkeeping_on_a_convex_nonconvex_alternation(monkeypatch):
+    # verdicts C, N, C, N up the ladder: the first NON_CONVEX radius is the
+    # witness, the CONVEX radius below it floors the onset bisection, and only
+    # the CONVEX radius above it gets a scale-coherence note
+    ladder = (0.5, 0.6, 0.7, 0.8)
+    letters = dict(zip(ladder, ("CONVEX", "NON_CONVEX", "CONVEX", "NON_CONVEX")))
+    monkeypatch.setattr(shearconvex.probe, "convexity_check_resolved", lambda f, r: (
+        None, ConvexityReport(letters[r], 2.0 * np.pi, 0.0 if letters[r] == "CONVEX" else 0.1,
+                              None if letters[r] == "CONVEX" else (1.0, 2.0), 0.1, 4096)))
+    monkeypatch.setattr(shearconvex.probe, "_persistent_witness",
+                        lambda f, cfg, reports: (0.8, -1.0 + 0j, (0.9,)))
+    onsets = []
+    monkeypatch.setattr(shearconvex.probe, "_onset_radius",
+                        lambda f, r_fail, r_floor: onsets.append((r_fail, r_floor)) or 0.55)
+    rep = probe_admissibility(ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j,
+                                          family_spec="explicit:monomial:N=1", radii=ladder))
+    key = "monomial:lam_re=1.0,lam_im=0.0,N=1"
+    assert rep.notes == [f"scale coherence violated for omega={key}: "
+                         "CONVEX at r=0.7 above NON_CONVEX at r=0.6"]
+    assert onsets == [(0.6, 0.5)]
+    [w] = rep.failures
+    assert (w.omega_spec, w.r, w.theta_window, w.r_onset) == (key, 0.6, (1.0, 2.0), 0.55)
+    assert [rows["verdict"] for rows in rep.per_omega[key].values()] == list(letters.values())
 
 
 def test_newton_preimage_finds_interior_points():
