@@ -36,9 +36,11 @@ from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec
                     format_eta, parse_phi)
 
 WINDING_SAMPLES = 1024           # uniform angles of a winding curve's base grid
+WINDING_BLOCK = 32               # steps per block of a winding judge's first round
 BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractions of pi
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
+NEWTON_R_CAP = 0.999999          # largest |z| of a Newton iterate
 ONSET_STEPS = 8                  # bisection steps of the onset radius
 LINE_RESIDUAL_FRAC = 0.03        # straight: transverse spread / extent along the chord
 
@@ -109,45 +111,75 @@ class _WindingCurves:
         at once; a point without a bad step settles, and the union of the
         others' bad steps is refined in one call.  A step that refinement
         left alone keeps its endpoints, its angle and its verdict, so later
-        rounds judge only the steps that refinement made.  A point on the
-        curve, a batch whose refinement would exceed ``REFINE_SAMPLES_MAX``
-        and a point still unsettled after ``REFINE_MAX_ROUNDS`` rounds give
-        None.  Since the maps probed here are univalent their curves are
-        Jordan; any winding outside {0, 1} is reported as untrustable.
+        rounds judge only the steps that refinement made.
+
+        The judge has two levels.  Steps go in blocks: ``WINDING_BLOCK``
+        consecutive steps in the first round (the last block, shorter, is
+        padded with zero steps where it wraps to theta = 0), each refined
+        step's 8 parts in later rounds.  A block whose bounding disk (c, rho)
+        has |m - c| >= 5 rho has no bad step for m: every chord is at most
+        2 rho, every sample at least 4 rho from m, and its arguments sum to
+        the principal argument across its two end samples.  A block that far
+        from every unsettled point is summed whole; only the others are
+        judged step by step.  An unsettled point keeps its round's total less
+        the steps about to be refined, so the rule is the per-step chord
+        rule, exactly.
+
+        A point on the curve, a batch whose refinement would exceed
+        ``REFINE_SAMPLES_MAX`` and a point still unsettled after
+        ``REFINE_MAX_ROUNDS`` rounds give None.  Since the maps probed here
+        are univalent their curves are Jordan; any winding outside {0, 1} is
+        reported as untrustable.
         """
         m = np.array(points, dtype=complex).reshape(-1)
         out: List[Optional[int]] = [None] * m.size
         live = np.arange(m.size)
         kept = np.zeros(m.size)          # arg sum over the steps no longer judged
         theta, gamma, _ = self._base(r)
-        steps = np.arange(theta.size)    # the steps to judge, by their first sample
+        # the blocks to judge, as rows of their steps' first samples; the
+        # last one is padded with zero steps at theta = 0, where it wraps
+        rows = -(-theta.size // WINDING_BLOCK)
+        block = np.minimum(np.arange(rows * WINDING_BLOCK), theta.size).reshape(rows, -1)
         for _ in range(REFINE_MAX_ROUNDS):
-            ends = gamma[(steps + 1) % theta.size]
-            chord = np.abs(ends - gamma[steps])
-            d0 = gamma[steps] - m[live, None]
-            d1 = ends - m[live, None]
+            n = theta.size
+            ring = np.append(gamma, gamma[:1])        # ring[n] closes the curve
+            a, b = ring[block], ring[np.minimum(block + 1, n)]
+            c = (a[:, 0] + b[:, -1]) / 2.0
+            rho = np.abs(b - c[:, None]).max(axis=1)
+            mu = m[live, None]
+            floor = 1e-9 * (1.0 + np.abs(mu))
+            # with a float margin: every sample 4 rho and the floor from m
+            whole = ((1.0 - 1e-12) * np.abs(mu - c) >= 5.0 * rho + floor).all(axis=0)
+            total = np.zeros(live.size)               # the whole blocks' arg sums
+            if whole.any():
+                total = np.angle((b[whole, -1] - mu) / (a[whole, 0] - mu)).sum(axis=1)
+                block, a, b = block[~whole], a[~whole], b[~whole]
+            steps, a, b = block.ravel(), a.ravel(), b.ravel()
+            d0, d1 = a - mu, b - mu
             dist0, dist1 = np.abs(d0), np.abs(d1)
-            off = dist0.min(axis=1) >= 1e-9 * (1.0 + np.abs(m[live]))
+            off = dist0.min(axis=1, initial=np.inf) >= floor[:, 0]
             if not off.all():
-                live, d0, d1, dist0, dist1 = (a[off] for a in (live, d0, d1, dist0, dist1))
+                live, total, d0, d1, dist0, dist1 = (
+                    x[off] for x in (live, total, d0, d1, dist0, dist1))
             darg = np.angle(d1 / d0)
-            bad = chord > 0.5 * np.minimum(dist0, dist1)
+            bad = np.abs(b - a) > 0.5 * np.minimum(dist0, dist1)
+            total += darg.sum(axis=1)
             settled = ~bad.any(axis=1)
-            turns = np.round((kept[live[settled]] + darg[settled].sum(axis=1)) / (2.0 * np.pi))
+            turns = np.round((kept[live[settled]] + total[settled]) / (2.0 * np.pi))
             for i, w in zip(live[settled], turns):
                 out[i] = int(w) if w in (0, 1) else None
-            live, darg, bad = live[~settled], darg[~settled], bad[~settled]
+            live, darg, bad, total = live[~settled], darg[~settled], bad[~settled], total[~settled]
             if not live.size:
                 break
             union = bad.any(axis=0)
-            if theta.size + 7 * int(union.sum()) > REFINE_SAMPLES_MAX:
+            if n + 7 * int(union.sum()) > REFINE_SAMPLES_MAX:
                 break
-            kept[live] += np.where(union, 0.0, darg).sum(axis=1)
+            kept[live] += total - darg[:, union].sum(axis=1)
             first = steps[union]
             theta, gamma = self._refine(r, theta, first)
             # each refined step's first sample has moved 7 places per refined
-            # step before it; it and its 7 new successors start the new steps
-            steps = ((first + 7 * np.arange(first.size))[:, None] + np.arange(8)).ravel()
+            # step before it; it and its 7 new successors make one block
+            block = (first + 7 * np.arange(first.size))[:, None] + np.arange(8)
         return out
 
 
@@ -303,11 +335,10 @@ def newton_preimage(f: HarmonicMap, m: complex,
         z_new = z + (np.conj(g1 * res) - np.conj(h1) * res) / den
         # pull runaway iterates back toward the disk; the cap keeps every
         # iterate inside it and the quadrature grading depth bounded
-        r_cap = 0.999999
-        bad = np.abs(z_new) >= r_cap
+        bad = np.abs(z_new) >= NEWTON_R_CAP
         if bad.any():
             z_new[bad] = (z_new[bad] / np.abs(z_new[bad])
-                          * np.minimum((np.abs(z[bad]) + 1.0) / 2.0, r_cap))
+                          * np.minimum((np.abs(z[bad]) + 1.0) / 2.0, NEWTON_R_CAP))
         z = z_new
     return None
 

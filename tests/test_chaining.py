@@ -11,8 +11,8 @@ from shearconvex import quadrature
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
 from shearconvex.geometry import (NON_CONVEX_BACKTURN, convexity_check_resolved,
                                   sample_boundary)
-from shearconvex.probe import (WINDING_SAMPLES, _WindingCurves, _candidate_midpoints,
-                               _extension_radii, _window_anchors)
+from shearconvex.probe import (WINDING_BLOCK, WINDING_SAMPLES, _WindingCurves,
+                               _candidate_midpoints, _extension_radii, _window_anchors)
 from shearconvex.quadrature import chord_increments
 from shearconvex.shear import (CHAIN_STRIDE, HarmonicMap, ShearSystem,
                                analytic_combination, harmonic_from_analytic,
@@ -215,14 +215,44 @@ def test_winding_parity_with_radial_positions(name):
     assert refined > 0
 
 
+def _synthetic_queries(f):
+    """One batch at r = 0.999 that meets every case of the two-level judge.
+
+    The curve has 1,032 base samples, so its last block is 8 steps long and
+    wraps to theta = 0.  ``inside`` lies in the bounding disk of the block
+    holding step k but on none of its samples, and stays unsettled there;
+    ``opposite`` stays unsettled across the curve, more than 5 rho from that
+    block, whose refined steps its kept sum must leave out; ``on`` is a
+    sample; ``wrap`` sits on the chord of the wrap step.
+    Returns the queries and the theta windows that refinement must split."""
+    r = 0.999
+    theta, gamma, _ = _WindingCurves(f)._base(r)
+    n = theta.size
+    assert n % WINDING_BLOCK == 8
+    k, j = 5 * WINDING_BLOCK + 10, n // 2
+    block = gamma[k - 10:k - 10 + WINDING_BLOCK + 1]
+    c = (block[0] + block[-1]) / 2.0
+    rho = np.abs(block - c).max()
+    inside = (gamma[k] + gamma[k + 2]) / 2.0
+    opposite = (gamma[j] + gamma[j + 2]) / 2.0
+    assert abs(inside - c) < rho and np.abs(block - inside).min() > 0.0
+    assert abs(opposite - c) > 5.0 * rho
+    on, wrap = gamma[300], (gamma[-1] + gamma[0]) / 2.0
+    windows = [(theta[k], theta[k + 2]), (theta[j], theta[j + 2]), (theta[-1], 2.0 * np.pi)]
+    return [([inside, on, opposite, wrap], r)], windows
+
+
 @pytest.mark.parametrize("curves", [_WindingCurves])
-@pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z"])
+@pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z",
+                                  "L_i, blaschke #27"])
 def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
     # later rounds judge only the steps refinement made; judging every step
     # in every round gives the same windings from the same refinements, and
-    # the same argument sums before they are rounded
+    # the same argument sums before they are rounded; L_i's batch is
+    # synthetic (see _synthetic_queries), the others are witness searches
     f = shear_construct(SYSTEMS[name])
-    queries = _witness_queries(f)
+    queries, windows = (_synthetic_queries(f) if name.startswith("L_i")
+                        else (_witness_queries(f), []))
     fast, full = curves(f), curves(f)
     base = sum(full._base(r)[0].size for r in {r for _, r in queries})
     fast_sums, full_sums = [], []
@@ -239,6 +269,10 @@ def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
     for r in full._curves:
         assert np.array_equal(fast._curves[r][0], full._curves[r][0])
     assert sum(c[0].size for c in full._curves.values()) > base
+    for lo, hi in windows:
+        assert any(((t > lo) & (t < hi)).any() for t, _, _ in full._curves.values())
+    if windows:
+        assert got == [[0, None, 1, 1]]         # on a sample: None
 
 
 def test_refinement_inserts_samples_in_curve_order():
