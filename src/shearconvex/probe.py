@@ -41,6 +41,7 @@ BRACKETS = (1 / 64, 1 / 16, 1 / 8, 1 / 4, 3 / 8, 1 / 2)   # half-widths, fractio
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
 NEWTON_R_CAP = 0.999999          # largest |z| of a Newton iterate
+NEWTON_CAP_STRIKES = 3           # consecutive iterates held at the cap retire a seed
 ONSET_STEPS = 8                  # bisection steps of the onset radius
 LINE_RESIDUAL_FRAC = 0.03        # straight: transverse spread / extent along the chord
 
@@ -317,11 +318,17 @@ def newton_preimage(f: HarmonicMap, m: complex,
     whose denominator is the Jacobian, > 0 on the disk, so steps are always
     defined.  A returned z constructively proves m lies in the image; None
     means no seed converged (evidence, not proof, of escape).
+
+    A seed retires when the pull-back has held it at NEWTON_R_CAP, where the
+    quadrature grades deepest, for NEWTON_CAP_STRIKES steps in a row.  A seed
+    only pulled back toward the rim stays: preimages near the rim are reached
+    that way, and retiring those seeds too loses planted ones.
     """
     angles = list(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
     for a in anchors:
         angles.extend([a, a - 0.02, a + 0.02])
     z = (np.array(_SEED_RHOS)[:, None] * np.exp(1j * np.array(angles))).ravel()
+    strikes = np.zeros(z.shape, dtype=int)
     for it in range(NEWTON_ITERS + 1):
         res = f.map_points(z) - m
         done = np.abs(res) <= NEWTON_TOL * (1.0 + abs(m))
@@ -339,7 +346,11 @@ def newton_preimage(f: HarmonicMap, m: complex,
         if bad.any():
             z_new[bad] = (z_new[bad] / np.abs(z_new[bad])
                           * np.minimum((np.abs(z[bad]) + 1.0) / 2.0, NEWTON_R_CAP))
-        z = z_new
+        strikes = np.where(bad & (np.abs(z) + 1.0 >= 2.0 * NEWTON_R_CAP), strikes + 1, 0)
+        live = strikes < NEWTON_CAP_STRIKES
+        if not live.any():
+            return None
+        z, strikes = z_new[live], strikes[live]
     return None
 
 

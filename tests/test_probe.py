@@ -10,12 +10,13 @@ from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
 from shearconvex.geometry import (TURNING_SAMPLES, ConvexityReport, convexity_check_resolved,
                                   directional_convexity_check, sample_boundary)
-from shearconvex.probe import (NEWTON_TOL, ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
+from shearconvex.probe import (NEWTON_CAP_STRIKES, NEWTON_ITERS, NEWTON_R_CAP, NEWTON_TOL,
+                               ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
                                _WindingCurves, halfplane_strip_identifier,
                                midpoint_certificate, newton_preimage,
                                probe_admissibility)
 from shearconvex.quadrature import ToleranceNotMet
-from shearconvex.shear import (ShearSystem, analytic_combination,
+from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
 from shearconvex.specs import family_from_spec, parse_omega, parse_phi
 
@@ -183,6 +184,73 @@ def test_a_false_winding_zero_is_refused_by_the_winding_gate():
     z = newton_preimage(f, m)
     assert z is not None and abs(z) == pytest.approx(0.99909, abs=1e-5)
     assert abs(f.map_points(z) - m) <= NEWTON_TOL * (1.0 + abs(m))
+
+
+# planted preimages m = f(z0), all at eta = -1: rotated H with omega = -xi z,
+# identity with omega = i z^3, Koebe, f0h, and L_i with a Blaschke omega
+@pytest.fixture(scope="module")
+def planted_maps():
+    return [shear_construct(ShearSystem(parse_phi(phi), parse_omega(omega), -1.0))
+            for phi, omega in [("H@rot:re=0.0,im=1.0", "monomial:lam_re=-0.0,lam_im=-1.0,N=1"),
+                               ("identity", "monomial:lam_re=0.0,lam_im=1.0,N=3"),
+                               ("koebe", "monomial:N=1"),
+                               ("f0h", "monomial:N=1"),
+                               ("Llambda:re=0.0,im=1.0", "blaschke:seed=3,deg=2")]]
+
+
+def _planted_found(f, rho, angle, offsets) -> bool:
+    """Whether Newton finds a preimage of f(rho e^{i angle}), with its anchors
+    at the given offsets from the planted angle."""
+    m = complex(f.map_points(rho * np.exp(1j * angle)))
+    return newton_preimage(f, m, [angle + d for d in offsets]) is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(datum=st.integers(0, 4), rho=st.sampled_from([0.5, 0.9, 0.99, 0.999, 0.9999]),
+       angle=st.floats(0.0, 2.0 * np.pi),
+       offsets=st.lists(st.floats(1.0, np.pi) | st.floats(-np.pi, -1.0), min_size=1, max_size=2))
+def test_retiring_seeds_at_the_rim_loses_no_planted_preimage(planted_maps, datum, rho,
+                                                             angle, offsets):
+    # retirement weakens a FAILURE gate, so it may drop only seeds that could
+    # not converge: whatever Newton finds with no seed ever retired, it finds
+    f = planted_maps[datum]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shearconvex.probe, "NEWTON_CAP_STRIKES", NEWTON_ITERS + 1)
+        found_without = _planted_found(f, rho, angle, offsets)
+    if found_without:
+        assert _planted_found(f, rho, angle, offsets)
+
+
+def test_planted_preimage_recall_on_a_fixed_grid(planted_maps):
+    # 5 data x |z0| in {0.99, 0.9999} x 16 angles, anchors 1 and 1.5 rad off
+    # arg z0; the one miss (identity, |z0| = 0.99) is missed with no seed ever
+    # retired too.  Retiring a seed after 3 pulled-back iterates, instead of
+    # 3 held at the cap, misses 2 more: L_i at |z0| = 0.9999.
+    found = sum(_planted_found(f, rho, 2.0 * np.pi * (k + 0.3) / 16, (1.0, -1.5))
+                for f in planted_maps for rho in (0.99, 0.9999) for k in range(16))
+    assert found == 159
+
+
+def test_newton_retires_seeds_held_at_the_rim(f0_report, monkeypatch):
+    # f0's FAILURE midpoint has no preimage; with no seed ever retired, all 80
+    # seeds ran every iteration (3,280 map points), 2,118 of them at the cap
+    cfg, rep = f0_report
+    w = rep.failures[0]
+    f = shear_construct(ShearSystem(parse_phi(cfg.phi_spec),
+                                    parse_omega(w.omega_spec), cfg.eta))
+    batches = []
+    map_points = HarmonicMap.map_points
+
+    def recording(self, z):
+        batches.append(np.abs(np.atleast_1d(z)))
+        return map_points(self, z)
+
+    monkeypatch.setattr(HarmonicMap, "map_points", recording)
+    assert newton_preimage(f, w.midpoint) is None
+    seeds = batches[0].size
+    at_cap = sum(int(np.sum(np.abs(b - NEWTON_R_CAP) < 1e-12)) for b in batches)
+    assert at_cap <= NEWTON_CAP_STRIKES * seeds
+    assert sum(b.size for b in batches) <= seeds * (NEWTON_ITERS + 1) / 2
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
