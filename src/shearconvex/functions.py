@@ -18,7 +18,9 @@ closed-form derivatives:
 The rotated half-plane map z/(1-cz) = conj(c) H(cz) is no separate entry:
 it is :func:`rotate_analytic` of H by c (spec ``H@rot:re=..,im=..``).
 
-Each entry also carries the poles of phi' on the unit circle, a catalog fact.
+Each entry also carries the poles of phi' on the unit circle, a catalog fact,
+and the Mobius entries (H, H_-1 and the identity, phi(z) = z/(1 - xi z) with
+xi = 1, -1 and 0) carry that xi.
 
 ``L_lam`` uses the principal logarithm; its argument is a Mobius map of the
 disk into a half-plane whose boundary line passes through 0 and whose
@@ -34,7 +36,7 @@ open disk, so the product is structurally a Schwarz function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,14 +60,16 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """Analytic map on the unit disk with first and second derivatives, and
-    the poles of its derivative on the unit circle where they are known."""
+    """Analytic map on the unit disk with first and second derivatives, the
+    poles of its derivative on the unit circle where they are known, and xi
+    when it is the Mobius map z/(1 - xi z) with |xi| in {0, 1}."""
 
     label: str
     value_fn: Callable = field(repr=False)
     d1_fn: Callable = field(repr=False)
     d2_fn: Callable = field(repr=False)
     poles: Tuple[complex, ...] = ()
+    mobius: Optional[complex] = None
 
     def eval(self, z) -> Tuple:
         return self.value_fn(z), self.d1_fn(z), self.d2_fn(z)
@@ -123,6 +127,10 @@ _CATALOG = {
 }
 
 
+# kind -> xi of the entries that are z/(1 - xi z)
+_MOBIUS = {"H": 1 + 0j, "H_ROT_MINUS1": -1 + 0j, "IDENTITY": 0j}
+
+
 @dataclass(frozen=True)
 class CatalogId:
     """Identifier of a catalog entry; `param` is lam for L_LAMBDA."""
@@ -158,14 +166,15 @@ class CatalogId:
 def catalog(cid: CatalogId) -> AnalyticFunction:
     """Build the catalog entry ``cid``."""
     text, poles, channels = cid.entry
-    return AnalyticFunction(text, *channels, poles=poles)
+    return AnalyticFunction(text, *channels, poles=poles, mobius=_MOBIUS.get(cid.kind))
 
 
 def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
     """Rotation phi_xi(z) = conj(xi) * phi(xi z); preserves S-normalization.
 
     Chain rule gives d1 -> phi'(xi z) (the conj(xi)*xi factors cancel) and
-    d2 -> xi * phi''(xi z); a pole p of phi' becomes one at conj(xi) p.
+    d2 -> xi * phi''(xi z); a pole p of phi' becomes one at conj(xi) p, and
+    z/(1 - c z) becomes z/(1 - c xi z).
     """
     xi = require_unimodular(xi, "xi")
     xib = np.conj(xi)
@@ -175,7 +184,8 @@ def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
         lambda z: xib * v(xi * z),
         lambda z: d1(xi * z),
         lambda z: xi * d2(xi * z),
-        poles=tuple(complex(xib * p) for p in phi.poles))
+        poles=tuple(complex(xib * p) for p in phi.poles),
+        mobius=None if phi.mobius is None else phi.mobius * xi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,18 @@ curves of perfectly admissible shears wobble at r = 0.9 and beyond.
 
 A FAILURE therefore requires a *persistent* witness: from the worst
 back-turn window the probe builds a midpoint certificate, two curve points
-whose chord midpoint lies outside the sampled curve (winding number 0), and
-the certificate must stay outside at every larger ladder radius and at
-extension radii pushed toward |z| = 1.  Hereditary wobbles get absorbed as
-r grows (their pockets shrink like 1 - r); genuine non-convexity of the full
-image leaves a fixed pocket that never fills in.
+whose chord midpoint lies outside the image, and the certificate must stay
+outside at every larger ladder radius and at extension radii pushed toward
+|z| = 1, then defeat a Newton preimage search.  Hereditary wobbles get
+absorbed as r grows (their pockets shrink like 1 - r); genuine
+non-convexity of the full image leaves a fixed pocket that never fills in.
+
+"Outside f(D_r)" has two judges.  For a Mobius phi = z/(1 - xi z) (H, H-1,
+the identity and their rotations) ``slice_judge`` decides it exactly from
+two map points: the points sent to the line m + sqrt(eta) R form one arc
+of D_r, and f, univalent by the Clunie--Sheil-Small shear theorem, is
+monotone along it.  Every other phi keeps the trusted winding number of a
+refined image curve (``_WindingCurves``).
 
 NO_FAILURE_FOUND is a report about the family searched, never a proof of
 admissibility; INCOMPLETE says no failure was found but some dilatation
@@ -44,6 +51,7 @@ NEWTON_R_CAP = 0.999999          # largest |z| of a Newton iterate
 NEWTON_CAP_STRIKES = 3           # consecutive iterates held at the cap retire a seed
 ONSET_STEPS = 8                  # bisection steps of the onset radius
 LINE_RESIDUAL_FRAC = 0.03        # straight: transverse spread / extent along the chord
+ON_CURVE = 1e-9                  # a point this near a curve (relative to 1 + |m|) is not judged
 
 
 def _extension_radii(r_top: float) -> Tuple[float, float]:
@@ -148,7 +156,7 @@ class _WindingCurves:
             c = (a[:, 0] + b[:, -1]) / 2.0
             rho = np.abs(b - c[:, None]).max(axis=1)
             mu = m[live, None]
-            floor = 1e-9 * (1.0 + np.abs(mu))
+            floor = ON_CURVE * (1.0 + np.abs(mu))
             # with a float margin: every sample 4 rho and the floor from m
             whole = ((1.0 - 1e-12) * np.abs(mu - c) >= 5.0 * rho + floor).all(axis=0)
             total = np.zeros(live.size)               # the whole blocks' arg sums
@@ -182,6 +190,44 @@ class _WindingCurves:
             # step before it; it and its 7 new successors make one block
             block = (first + 7 * np.arange(first.size))[:, None] + np.arange(8)
         return out
+
+
+def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Optional[int]]:
+    """``_WindingCurves.winding``'s answers for a shear of phi = z/(1 - xi z),
+    from two map points per point m: 1 in f(D_r), 0 outside, None on the curve.
+
+    f - phi is a real multiple of u = sqrt(eta), so f(z) is on the line
+    m + uR exactly when phi(z) is.  phi(D_r) is the disk with center
+    conj(xi) r^2/s and radius r/s, s = 1 - |xi|^2 r^2: a line that misses it
+    misses f(D_r), and a line that crosses its rim at w+- has the arc between
+    z+- = w+-/(1 + xi w+-), on |z| = r, as its preimage in D_r.  phi is
+    convex, so f is univalent (Clunie and Sheil-Small, 1984) and
+    sigma = Re(conj(u) (f - m)) is strictly monotone along the arc: m is in
+    f(D_r) exactly when sigma has opposite signs at z+-, and on the curve
+    when either is within ``ON_CURVE`` of 0.
+    """
+    xi, u = f.shear.phi.mobius, np.sqrt(f.shear.eta)
+    m = np.array(points, dtype=complex).reshape(-1)
+    s = 1.0 - abs(xi) ** 2 * r * r
+    d = np.conj(u) * (m - np.conj(xi) * r * r / s)    # m from the center, in the frame of u
+    half = (r / s) ** 2 - d.imag ** 2                 # squared half-chord of the line
+    out: List[Optional[int]] = [0] * m.size
+    cut = np.flatnonzero(half > 0.0)
+    if cut.size:
+        w = m[cut] + u * (np.sqrt(half[cut]) * np.array([[-1.0], [1.0]]) - d.real[cut])
+        sigma = (np.conj(u) * (f.map_points(w / (1.0 + xi * w)) - m[cut])).real
+        floor = ON_CURVE * (1.0 + np.abs(m[cut]))
+        for i, (lo, hi), fl in zip(cut, sigma.T, floor):
+            out[i] = None if min(abs(lo), abs(hi)) <= fl else int(lo * hi < 0.0)
+    return out
+
+
+def _judge(f: HarmonicMap):
+    """The witness gates' answer to "is m in f(D_r)?" for a batch at one
+    radius: the slice for a Mobius phi, the winding curves otherwise."""
+    if f.shear.phi.mobius is not None:
+        return lambda points, r: slice_judge(f, points, r)
+    return _WindingCurves(f).winding
 
 
 @dataclass(frozen=True)
@@ -356,12 +402,13 @@ def newton_preimage(f: HarmonicMap, m: complex,
 
 def midpoint_certificate(f: HarmonicMap, r: float,
                          theta_window: Optional[Tuple[float, float]]) -> Optional[complex]:
-    """First chord midpoint near the reversal window that escapes the curve;
-    None without a window (a curve with no back-turn) or without an escape."""
+    """First chord midpoint near the reversal window that ``_judge`` puts
+    outside f(D_r); None without a window (a curve with no back-turn) or
+    without an escape."""
     if theta_window is None:
         return None
     candidates = [m for m in _candidate_midpoints(f, r, [_window_mid(theta_window)])]
-    windings = _WindingCurves(f).winding(candidates, r)
+    windings = _judge(f)(candidates, r)
     return next((m for m, w in zip(candidates, windings) if w == 0), None)
 
 
@@ -385,18 +432,20 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     """Search back-turn anchors, deepest radius first, for a midpoint that
     the image demonstrably never covers.
 
-    Three gates: the midpoint must stay outside (trusted winding zero) at
-    every larger ladder radius, stay outside at two extension radii pushed
-    toward |z| = 1, and defeat a Newton preimage search.  Hereditary pockets
-    fail the winding gates (the growing image absorbs them); chords spanning
-    the image's unbounded end fail the preimage gate.  All candidates of one
-    anchor radius go through the winding gates together, one batch per
-    radius from the outermost in, each batch holding only the survivors of
-    the last; Newton then takes the survivors in candidate order.  The search
-    ends at the first anchor radius that certifies a midpoint.
+    Three gates: the midpoint must stay outside at every larger ladder
+    radius, stay outside at two extension radii pushed toward |z| = 1, and
+    defeat a Newton preimage search.  "Outside" is a 0 of ``_judge``: the
+    exact slice for a Mobius phi, a trusted winding zero otherwise.
+    Hereditary pockets fail the outside gates (the growing image absorbs
+    them); chords spanning the image's unbounded end fail the preimage gate.
+    All candidates of one anchor radius go through the outside gates
+    together, one batch per radius from the outermost in, each batch holding
+    only the survivors of the last; Newton then takes the survivors in
+    candidate order, whichever judge passed them.  The search ends at the
+    first anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
-    curves = _WindingCurves(f)
+    judge = _judge(f)
     suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
     for r_anchor in reversed(suspicious):
         anchors = _window_anchors(reports[r_anchor])
@@ -405,7 +454,7 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
         survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
         for r in probe_order:
             if survivors:
-                windings = curves.winding(survivors, r)
+                windings = judge(survivors, r)
                 survivors = [m for m, w in zip(survivors, windings) if w == 0]
         for m in survivors:
             if newton_preimage(f, m, anchors) is None:

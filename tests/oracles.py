@@ -14,9 +14,11 @@ and raises the package's ``ToleranceNotMet`` when bisection stalls.
 sample placed by its own radial quadrature (it overrides ``_positions``
 only), the reference for the package's chained positions;
 :func:`discrete_winding` is a plain winding sum with none of the package's
-refinement, the reference for its trusted winding; and
+refinement, the reference for its trusted winding;
 :func:`full_round_winding` is the package's batched winding with every step
-judged afresh in every round, the reference for its incremental rounds.
+judged afresh in every round, the reference for its incremental rounds; and
+:func:`witness_queries` lists every batch a witness search could put to
+either judge of "is m in f(D_r)?".
 
 :func:`turning_rate` is the closed-form turning rate of a level curve, the
 reference for the package's sampled turning verdicts, and
@@ -30,9 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from shearconvex.geometry import (REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX, BoundaryCurve,
-                                  ConvexityReport, turning_increments, verdict_from_increments)
-from shearconvex.probe import _WindingCurves
+from shearconvex.geometry import (NON_CONVEX_BACKTURN, REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX,
+                                  BoundaryCurve, ConvexityReport, convexity_check_resolved,
+                                  turning_increments, verdict_from_increments)
+from shearconvex.probe import (_WindingCurves, _candidate_midpoints, _extension_radii,
+                               _window_anchors)
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
 from shearconvex.shear import HarmonicMap
 
@@ -161,3 +165,19 @@ class RadialWindingCurves(_WindingCurves):
 
     def _positions(self, r: float, theta, start=None):
         return np.stack(self.f.parts(r * np.exp(1j * np.asarray(theta))))
+
+
+def witness_queries(f: HarmonicMap, ladder) -> list:
+    """Every (candidates, radius) batch of a witness search of f on the
+    ladder, with no early exit: all candidates of each suspicious ladder
+    radius, as one batch at every larger ladder radius and at both extension
+    radii."""
+    reports = {r: convexity_check_resolved(f, r)[1] for r in ladder}
+    queries = []
+    for r_anchor in reversed([r for r in ladder
+                              if reports[r].worst_backturn > NON_CONVEX_BACKTURN]):
+        higher = sorted(tuple(r for r in ladder if r > r_anchor)
+                        + _extension_radii(ladder[-1]), reverse=True)
+        batch = list(_candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])))
+        queries.extend((batch, r) for r in higher)
+    return queries

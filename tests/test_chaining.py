@@ -9,17 +9,15 @@ import pytest
 import shearconvex.probe
 from shearconvex import quadrature
 from shearconvex.functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from shearconvex.geometry import (NON_CONVEX_BACKTURN, convexity_check_resolved,
-                                  sample_boundary)
-from shearconvex.probe import (WINDING_BLOCK, WINDING_SAMPLES, _WindingCurves,
-                               _candidate_midpoints, _extension_radii, _window_anchors)
+from shearconvex.geometry import sample_boundary
+from shearconvex.probe import WINDING_BLOCK, WINDING_SAMPLES, _WindingCurves
 from shearconvex.quadrature import chord_increments
 from shearconvex.shear import (CHAIN_STRIDE, HarmonicMap, ShearSystem,
                                analytic_combination, harmonic_from_analytic,
                                shear_construct)
 from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_phi
 
-from oracles import RadialWindingCurves, full_round_winding
+from oracles import RadialWindingCurves, full_round_winding, witness_queries
 
 DRIFT = 1e-11                   # relative to max(1, |radial|), as the f0 pin
 LADDER = (0.9, 0.99, 0.999)     # the sweep workloads' ladder
@@ -182,25 +180,10 @@ def test_a_capped_step_ends_on_the_radial_value(monkeypatch):
     assert _drift(f, r, theta, hg) <= DRIFT
 
 
-def _witness_queries(f):
-    """Every (candidates, radius) winding batch of a witness search of f, with
-    no early exit: all candidates of each suspicious ladder radius, as one
-    batch at every larger ladder radius and at both extension radii."""
-    reports = {r: convexity_check_resolved(f, r)[1] for r in LADDER}
-    queries = []
-    for r_anchor in reversed([r for r in LADDER
-                              if reports[r].worst_backturn > NON_CONVEX_BACKTURN]):
-        higher = sorted(tuple(r for r in LADDER if r > r_anchor)
-                        + _extension_radii(LADDER[-1]), reverse=True)
-        batch = list(_candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])))
-        queries.extend((batch, r) for r in higher)
-    return queries
-
-
 @pytest.mark.parametrize("name", ["H, blaschke #27", "H, monomial #60", "H@rot 1.3231, -xi z"])
 def test_winding_parity_with_radial_positions(name):
     f = shear_construct(SYSTEMS[name])
-    queries = _witness_queries(f)
+    queries = witness_queries(f, LADDER)
     assert sum(len(batch) for batch, _ in queries) >= 100
     chained, radial = _WindingCurves(f), RadialWindingCurves(f)
     base = {r: chained._base(r)[0].size for _, r in queries}
@@ -252,7 +235,7 @@ def test_incremental_rounds_match_full_rounds(name, curves, monkeypatch):
     # synthetic (see _synthetic_queries), the others are witness searches
     f = shear_construct(SYSTEMS[name])
     queries, windows = (_synthetic_queries(f) if name.startswith("L_i")
-                        else (_witness_queries(f), []))
+                        else (witness_queries(f, LADDER), []))
     fast, full = curves(f), curves(f)
     base = sum(full._base(r)[0].size for r in {r for _, r in queries})
     fast_sums, full_sums = [], []

@@ -166,3 +166,18 @@ def test_catalog_poles_are_where_the_derivative_blows_up(cid, xi):
         assert abs(abs(p) - 1.0) <= 1e-15
         near, far = (abs(phi.d1((1.0 - eps) * p)) for eps in (1e-7, 1e-3))
         assert near >= 1e3 * far
+
+
+@pytest.mark.parametrize("cid", CATALOG_IDS, ids=lambda c: c.text)
+def test_the_mobius_fact_is_the_map(cid, disk_grid):
+    # H, H-1 and the identity are z/(1 - c z) with c = 1, -1 and 0, and a
+    # rotation by xi makes c xi; every other entry carries no c
+    c = {"H": 1.0, "H_ROT_MINUS1": -1.0, "IDENTITY": 0.0}.get(cid.kind)
+    for xi in (None, np.exp(1.3231j), 1j):
+        phi = catalog(cid) if xi is None else rotate_analytic(catalog(cid), xi)
+        if c is None:
+            assert phi.mobius is None
+            continue
+        assert abs(phi.mobius - c * (1.0 if xi is None else xi)) <= 1e-15
+        want = disk_grid / (1.0 - phi.mobius * disk_grid)
+        assert (np.abs(phi.value(disk_grid) - want) / np.abs(want)).max() <= 1e-15

@@ -1,3 +1,4 @@
+import itertools
 import json
 import platform
 
@@ -12,13 +13,15 @@ from shearconvex.geometry import (TURNING_SAMPLES, ConvexityReport, convexity_ch
                                   directional_convexity_check, sample_boundary)
 from shearconvex.probe import (NEWTON_CAP_STRIKES, NEWTON_ITERS, NEWTON_R_CAP, NEWTON_TOL,
                                ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
-                               _WindingCurves, halfplane_strip_identifier,
+                               _WindingCurves, _extension_radii, halfplane_strip_identifier,
                                midpoint_certificate, newton_preimage,
-                               probe_admissibility)
+                               probe_admissibility, slice_judge)
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
 from shearconvex.specs import family_from_spec, parse_omega, parse_phi
+
+from oracles import witness_queries
 
 SMALL_FAMILY = "mixed:phases=4,nmax=2,count=6,deg=2,seed=11"
 
@@ -269,6 +272,123 @@ def test_a_warm_probe_does_not_refault_its_scratch_memory():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         probe_admissibility(cfg)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200, phi
+
+
+# The slice judge: for a shear of a Mobius phi, "is m in f(D_r)?" from two
+# map points per candidate, in place of the winding curves.
+
+def _hrot(xi: complex) -> ShearSystem:
+    """certify-rot's case for xi: H@rot:xi with omega = -xi z at eta = -1."""
+    return ShearSystem(parse_phi(f"H@rot:re={xi.real!r},im={xi.imag!r}"),
+                       make_schwarz(MonomialOmega(-xi, 1)), -1.0)
+
+
+def _certify_rot_grid() -> list:
+    """certify-rot's 40 grid rotations, 20 on each arc of the circle 0.25 rad
+    clear of +-1 (offset by 1/8 and 5/8 of a step), then the paper's three."""
+    step = (np.pi - 0.5) / 20
+    grid = [complex(np.exp(1j * (base + 0.25 + (j + off) * step)))
+            for base, off in ((0.0, 0.125), (np.pi, 0.625)) for j in range(20)]
+    return grid + [complex(np.exp(1j * np.pi / 4)), complex(np.exp(1j * np.pi / 3)), 1j]
+
+
+@pytest.mark.parametrize("workload", ["sweep-H", "certify-rot"])
+def test_the_slice_judge_agrees_with_the_winding_gate(workload):
+    # every query a witness search of the workload could ask, with no early
+    # exit, gets the winding gate's answer, and neither judge says None
+    if workload == "sweep-H":
+        systems = [ShearSystem(catalog(CatalogId("H")), omega, -1.0)
+                   for omega in family_from_spec("mixed:phases=8,nmax=3,count=50,deg=3,seed=7")]
+    else:
+        systems = [_hrot(xi) for xi in _certify_rot_grid()]
+    answers = []
+    for system in systems:
+        f = shear_construct(system)
+        curves = _WindingCurves(f)
+        for batch, r in witness_queries(f, (0.9, 0.99, 0.999)):
+            got = slice_judge(f, batch, r)
+            assert got == curves.winding(batch, r)
+            answers.extend(got)
+    # H is admissible at eta = -1, so every sweep candidate is absorbed at
+    # each larger radius; every rotation case has escaping candidates
+    assert len(answers) == {"sweep-H": 7992, "certify-rot": 4644}[workload]
+    assert set(answers) == ({1} if workload == "sweep-H" else {0, 1})
+
+
+def test_the_slice_judge_never_puts_a_planted_preimage_outside():
+    # m = f(z0) lies in f(D_R) for every R > |z0|, so 0 would be wrong.  A
+    # None comes only at |z0| = 0.9999 (176 of 14,400, nearly all with omega
+    # = -z, which is unimodular on the circle): the Jacobian
+    # |h'|^2 (1 - |omega|^2) vanishes at the rim, so the slice between z0 and
+    # |z| = R moves f by about 1e-9, under the on-curve floor, although the
+    # signs there are still opposite
+    phis = ["H", "H-1", "identity", "H@rot:re=0.6,im=0.8", "H@rot:re=0.0,im=1.0"]
+    omegas = ["monomial:lam_re=0.0,lam_im=1.0,N=3", "monomial:lam_re=-1.0,lam_im=0.0,N=1",
+              "blaschke:seed=3,deg=2"]
+    judged = {0: 0, 1: 0, None: 0}
+    for phi, eta, omega in itertools.product(phis, [-1.0, 1.0, 1j, 0.6 + 0.8j], omegas):
+        f = shear_construct(ShearSystem(parse_phi(phi), parse_omega(omega), eta))
+        for rho in (0.5, 0.99, 0.9999):
+            m = f.map_points(rho * np.exp(2j * np.pi * (np.arange(40) + 0.3) / 40))
+            for r in (min((1.0 + rho) / 2.0, 0.99995), NEWTON_R_CAP):
+                got = slice_judge(f, m, r)
+                assert None not in got or rho == 0.9999
+                for w in got:
+                    judged[w] += 1
+    assert judged[0] == 0 and sum(judged.values()) == 14400
+
+
+@pytest.mark.parametrize("phi", ["H", "identity", "H@rot:re=0.6,im=0.8"])
+def test_a_point_on_the_image_curve_is_not_judged(phi):
+    # m = f(r e^{i t}) ends its own slice, so sigma is 0 there up to rounding,
+    # within the on-curve floor: None, as the winding gate answers on a sample
+    for eta in (-1.0, 1j):
+        f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("blaschke:seed=3,deg=2"), eta))
+        for r in (0.9, 0.999):
+            m = f.map_points(r * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16))
+            assert slice_judge(f, m, r) == [None] * 16
+
+
+def test_the_slice_judge_puts_known_bad_points_inside():
+    # the pinned false winding zero (see the winding-gate test above) is
+    # inside at both extension radii, as its preimage at |z| ~ 0.99909 says
+    f = shear_construct(ShearSystem(
+        catalog(CatalogId("H")),
+        parse_omega("monomial:lam_re=-1.0,lam_im=1.2246467991473532e-16,N=2"), -1.0))
+    m = 299.9314610325063 - 147035.57701547028j
+    assert [slice_judge(f, [m], r) for r in _extension_radii(0.999)] == [[1], [1]]
+    # a point Newton misses (with anchors 1 and -1.5 rad off arg z0, where
+    # |g'/h'| ~ 0.97): inside f(D_R) for every R > |z0| = 0.99, outside below
+    f = shear_construct(ShearSystem(parse_phi("identity"),
+                                    parse_omega("monomial:lam_re=0.0,lam_im=1.0,N=3"), -1.0))
+    m = complex(f.map_points(0.99 * np.exp(2j * np.pi * 6.3 / 16)))
+    for r in [0.99 + 1e-6, 0.9901, 0.991, 0.995, 0.999, 0.9999, 0.99995, NEWTON_R_CAP]:
+        assert slice_judge(f, [m], r) == [1], r
+    assert slice_judge(f, [m], 0.98) == [0]
+
+
+@pytest.mark.parametrize("phi,judge", [("H", "slice"), ("H@rot:re=0.6,im=0.8", "slice"),
+                                       ("koebe", "winding"), ("Llambda:re=0.0,im=1.0", "winding")])
+def test_witness_gates_use_the_slice_for_mobius_data(phi, judge, monkeypatch):
+    # the midpoint certificate and the persistent witness ask one judge:
+    # the slice for a Mobius phi, the winding curves for every other
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*a, **k):
+            calls.append(name)
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(shearconvex.probe, "slice_judge",
+                        recording("slice", shearconvex.probe.slice_judge))
+    monkeypatch.setattr(_WindingCurves, "winding", recording("winding", _WindingCurves.winding))
+    f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("monomial:N=1"), 1.0))
+    _, rep = convexity_check_resolved(f, 0.99)
+    assert midpoint_certificate(f, 0.99, rep.witness) is not None
+    cfg = ProbeConfig(phi_spec=phi, eta=1.0 + 0.0j, family_spec="explicit:monomial:N=1")
+    assert probe_admissibility(cfg).summary == "FAILURE"
+    assert set(calls) == {judge}
 
 
 @pytest.fixture(scope="module")
