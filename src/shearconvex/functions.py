@@ -18,9 +18,9 @@ closed-form derivatives:
 The rotated half-plane map z/(1-cz) = conj(c) H(cz) is no separate entry:
 it is :func:`rotate_analytic` of H by c (spec ``H@rot:re=..,im=..``).
 
-Each entry also carries the poles of phi' on the unit circle, a catalog fact,
-and the Mobius entries (H, H_-1 and the identity, phi(z) = z/(1 - xi z) with
-xi = 1, -1 and 0) carry that xi.
+Each entry also carries the poles of phi' on the unit circle, a catalog fact;
+the Mobius entries (H, H_-1 and the identity, phi(z) = z/(1 - xi z) with
+xi = 1, -1 and 0) carry that xi, and ``L_lam`` carries lam.
 
 ``L_lam`` uses the principal logarithm; its argument is a Mobius map of the
 disk into a half-plane whose boundary line passes through 0 and whose
@@ -61,8 +61,9 @@ def _fmt(x: float) -> str:
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Analytic map on the unit disk with first and second derivatives, the
-    poles of its derivative on the unit circle where they are known, and xi
-    when it is the Mobius map z/(1 - xi z) with |xi| in {0, 1}."""
+    poles of its derivative on the unit circle where they are known, xi
+    when it is the Mobius map z/(1 - xi z) with |xi| in {0, 1}, and lam when
+    it is the strip map L_lam itself (not a rotation of it)."""
 
     label: str
     value_fn: Callable = field(repr=False)
@@ -70,6 +71,7 @@ class AnalyticFunction:
     d2_fn: Callable = field(repr=False)
     poles: Tuple[complex, ...] = ()
     mobius: Optional[complex] = None
+    strip: Optional[complex] = None
 
     def eval(self, z) -> Tuple:
         return self.value_fn(z), self.d1_fn(z), self.d2_fn(z)
@@ -166,7 +168,8 @@ class CatalogId:
 def catalog(cid: CatalogId) -> AnalyticFunction:
     """Build the catalog entry ``cid``."""
     text, poles, channels = cid.entry
-    return AnalyticFunction(text, *channels, poles=poles, mobius=_MOBIUS.get(cid.kind))
+    return AnalyticFunction(text, *channels, poles=poles, mobius=_MOBIUS.get(cid.kind),
+                            strip=cid.param)
 
 
 def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
@@ -174,7 +177,8 @@ def rotate_analytic(phi: AnalyticFunction, xi: complex) -> AnalyticFunction:
 
     Chain rule gives d1 -> phi'(xi z) (the conj(xi)*xi factors cancel) and
     d2 -> xi * phi''(xi z); a pole p of phi' becomes one at conj(xi) p, and
-    z/(1 - c z) becomes z/(1 - c xi z).
+    z/(1 - c z) becomes z/(1 - c xi z).  lam is dropped: conj(xi) L_lam(xi z)
+    is no L_lam unless xi = +-1.
     """
     xi = require_unimodular(xi, "xi")
     xib = np.conj(xi)

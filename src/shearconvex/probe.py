@@ -16,11 +16,11 @@ absorbed as r grows (their pockets shrink like 1 - r); genuine
 non-convexity of the full image leaves a fixed pocket that never fills in.
 
 "Outside f(D_r)" has two judges.  For a Mobius phi = z/(1 - xi z) (H, H-1,
-the identity and their rotations) ``slice_judge`` decides it exactly from
-two map points: the points sent to the line m + sqrt(eta) R form one arc
-of D_r, and f, univalent by the Clunie--Sheil-Small shear theorem, is
-monotone along it.  Every other phi keeps the trusted winding number of a
-refined image curve (``_WindingCurves``).
+the identity and their rotations), and for the strip map L_lam at eta = -1,
+``slice_judge`` decides it exactly from two map points: the points sent to
+the line m + sqrt(eta) R form one arc of D_r, and f, univalent by the
+Clunie--Sheil-Small shear theorem, is monotone along it.  Every other datum
+keeps the trusted winding number of a refined image curve (``_WindingCurves``).
 
 NO_FAILURE_FOUND is a report about the family searched, never a proof of
 admissibility; INCOMPLETE says no failure was found but some dilatation
@@ -192,30 +192,61 @@ class _WindingCurves:
         return out
 
 
-def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Optional[int]]:
-    """``_WindingCurves.winding``'s answers for a shear of phi = z/(1 - xi z),
-    from two map points per point m: 1 in f(D_r), 0 outside, None on the curve.
+def _disk_ends(xi: complex, u: complex, m, r: float):
+    """The rows of the points m whose line m + uR meets phi(D_r), phi = z/(1 - xi z),
+    and the ends on |z| = r of its preimage arc, stacked: ``(2, rows)``.
 
-    f - phi is a real multiple of u = sqrt(eta), so f(z) is on the line
-    m + uR exactly when phi(z) is.  phi(D_r) is the disk with center
-    conj(xi) r^2/s and radius r/s, s = 1 - |xi|^2 r^2: a line that misses it
-    misses f(D_r), and a line that crosses its rim at w+- has the arc between
-    z+- = w+-/(1 + xi w+-), on |z| = r, as its preimage in D_r.  phi is
-    convex, so f is univalent (Clunie and Sheil-Small, 1984) and
-    sigma = Re(conj(u) (f - m)) is strictly monotone along the arc: m is in
-    f(D_r) exactly when sigma has opposite signs at z+-, and on the curve
-    when either is within ``ON_CURVE`` of 0.
+    phi(D_r) is the disk with center conj(xi) r^2/s and radius r/s,
+    s = 1 - |xi|^2 r^2, and its rim points w+- come back as w/(1 + xi w).
     """
-    xi, u = f.shear.phi.mobius, np.sqrt(f.shear.eta)
-    m = np.array(points, dtype=complex).reshape(-1)
     s = 1.0 - abs(xi) ** 2 * r * r
     d = np.conj(u) * (m - np.conj(xi) * r * r / s)    # m from the center, in the frame of u
     half = (r / s) ** 2 - d.imag ** 2                 # squared half-chord of the line
-    out: List[Optional[int]] = [0] * m.size
     cut = np.flatnonzero(half > 0.0)
+    w = m[cut] + u * (np.sqrt(half[cut]) * np.array([[-1.0], [1.0]]) - d.real[cut])
+    return cut, w / (1.0 + xi * w)
+
+
+def _strip_ends(lam: complex, m, r: float):
+    """``_disk_ends`` for phi = L_lam at eta = -1, where u = +-i.
+
+    E = e^{cw}, c = 2i Im lam, inverts to z = (E - 1)/(lam E - conj(lam)).
+    On the line cu is real, so E runs along the ray at angle psi = Im(cm)
+    (the line misses the strip when |psi| >= pi, where e^{cm} would alias
+    into it), and |z| < r is C t^2 - 2 B t + C < 0 in t = |E|, with
+    C = 1 - r^2 and B = Re(e^{i psi} (1 - r^2 lam^2)): an arc when B > C,
+    from the smaller root t = C/(B + sqrt(B^2 - C^2)) to 1/t.
+    """
+    psi = 2.0 * lam.imag * m.real
+    b, c = (np.exp(1j * psi) * (1.0 - r * r * lam * lam)).real, 1.0 - r * r
+    cut = np.flatnonzero((np.abs(psi) < np.pi) & (b > c))
+    t = c / (b[cut] + np.sqrt(b[cut] ** 2 - c * c))
+    e = np.exp(1j * psi[cut]) * np.array([t, 1.0 / t])
+    return cut, (e - 1.0) / (lam * e - np.conj(lam))
+
+
+def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Optional[int]]:
+    """``_WindingCurves.winding``'s answers for a shear of a Mobius phi =
+    z/(1 - xi z) or, at eta = -1, of phi = L_lam, from two map points per
+    point m: 1 in f(D_r), 0 outside, None on the curve.
+
+    f - phi is a real multiple of u = sqrt(eta), so f(z) is on the line
+    m + uR exactly when phi(z) is.  Its preimage in D_r is empty or one arc
+    whose ends z+- on |z| = r come in closed form (``_disk_ends``,
+    ``_strip_ends``).  phi is convex, so f is univalent (Clunie and
+    Sheil-Small, 1984) and sigma = Re(conj(u) (f - m)) is strictly monotone
+    along the arc: m is in f(D_r) exactly when sigma has opposite signs at
+    z+-, and on the curve when either is within ``ON_CURVE`` of 0.
+    """
+    phi, u = f.shear.phi, np.sqrt(f.shear.eta)
+    m = np.array(points, dtype=complex).reshape(-1)
+    if phi.mobius is not None:
+        cut, z = _disk_ends(phi.mobius, u, m, r)
+    else:
+        cut, z = _strip_ends(phi.strip, m, r)
+    out: List[Optional[int]] = [0] * m.size
     if cut.size:
-        w = m[cut] + u * (np.sqrt(half[cut]) * np.array([[-1.0], [1.0]]) - d.real[cut])
-        sigma = (np.conj(u) * (f.map_points(w / (1.0 + xi * w)) - m[cut])).real
+        sigma = (np.conj(u) * (f.map_points(z) - m[cut])).real
         floor = ON_CURVE * (1.0 + np.abs(m[cut]))
         for i, (lo, hi), fl in zip(cut, sigma.T, floor):
             out[i] = None if min(abs(lo), abs(hi)) <= fl else int(lo * hi < 0.0)
@@ -224,8 +255,10 @@ def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Opt
 
 def _judge(f: HarmonicMap):
     """The witness gates' answer to "is m in f(D_r)?" for a batch at one
-    radius: the slice for a Mobius phi, the winding curves otherwise."""
-    if f.shear.phi.mobius is not None:
+    radius: the slice for a Mobius phi and for L_lam at eta = -1, the
+    winding curves otherwise."""
+    phi = f.shear.phi
+    if phi.mobius is not None or (phi.strip is not None and f.shear.eta == -1.0):
         return lambda points, r: slice_judge(f, points, r)
     return _WindingCurves(f).winding
 

@@ -181,3 +181,18 @@ def test_the_mobius_fact_is_the_map(cid, disk_grid):
         assert abs(phi.mobius - c * (1.0 if xi is None else xi)) <= 1e-15
         want = disk_grid / (1.0 - phi.mobius * disk_grid)
         assert (np.abs(phi.value(disk_grid) - want) / np.abs(want)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("cid", CATALOG_IDS, ids=lambda c: c.text)
+def test_the_strip_fact_is_the_map(cid, disk_grid):
+    # L_lam carries lam, and E = e^{c L_lam(z)} (c = 2i Im lam) inverts to
+    # z = (E - 1)/(lam E - conj(lam)); a rotation drops it, as every other entry has none
+    phi = catalog(cid)
+    assert rotate_analytic(phi, np.exp(1.3231j)).strip is None
+    if cid.kind != "L_LAMBDA":
+        assert phi.strip is None
+        return
+    lam = phi.strip
+    assert lam == cid.param
+    e = np.exp(2j * lam.imag * phi.value(disk_grid))
+    assert np.abs((e - 1.0) / (lam * e - np.conj(lam)) - disk_grid).max() <= 1e-15

@@ -292,15 +292,16 @@ def _certify_rot_grid() -> list:
     return grid + [complex(np.exp(1j * np.pi / 4)), complex(np.exp(1j * np.pi / 3)), 1j]
 
 
-@pytest.mark.parametrize("workload", ["sweep-H", "certify-rot"])
+@pytest.mark.parametrize("workload", ["sweep-H", "sweep-Li", "certify-rot"])
 def test_the_slice_judge_agrees_with_the_winding_gate(workload):
     # every query a witness search of the workload could ask, with no early
     # exit, gets the winding gate's answer, and neither judge says None
-    if workload == "sweep-H":
-        systems = [ShearSystem(catalog(CatalogId("H")), omega, -1.0)
-                   for omega in family_from_spec("mixed:phases=8,nmax=3,count=50,deg=3,seed=7")]
-    else:
+    if workload == "certify-rot":
         systems = [_hrot(xi) for xi in _certify_rot_grid()]
+    else:
+        phi = catalog(CatalogId("H") if workload == "sweep-H" else CatalogId("L_LAMBDA", 1j))
+        systems = [ShearSystem(phi, omega, -1.0)
+                   for omega in family_from_spec("mixed:phases=8,nmax=3,count=50,deg=3,seed=7")]
     answers = []
     for system in systems:
         f = shear_construct(system)
@@ -309,24 +310,26 @@ def test_the_slice_judge_agrees_with_the_winding_gate(workload):
             got = slice_judge(f, batch, r)
             assert got == curves.winding(batch, r)
             answers.extend(got)
-    # H is admissible at eta = -1, so every sweep candidate is absorbed at
-    # each larger radius; every rotation case has escaping candidates
-    assert len(answers) == {"sweep-H": 7992, "certify-rot": 4644}[workload]
-    assert set(answers) == ({1} if workload == "sweep-H" else {0, 1})
+    # H and L_i are admissible at eta = -1, so every sweep candidate is
+    # absorbed at each larger radius; every rotation case has escaping ones
+    assert len(answers) == {"sweep-H": 7992, "sweep-Li": 7788, "certify-rot": 4644}[workload]
+    assert set(answers) == ({0, 1} if workload == "certify-rot" else {1})
 
 
 def test_the_slice_judge_never_puts_a_planted_preimage_outside():
     # m = f(z0) lies in f(D_R) for every R > |z0|, so 0 would be wrong.  A
-    # None comes only at |z0| = 0.9999 (176 of 14,400, nearly all with omega
+    # None comes only at |z0| = 0.9999 (176 of 15,840, nearly all with omega
     # = -z, which is unimodular on the circle): the Jacobian
     # |h'|^2 (1 - |omega|^2) vanishes at the rim, so the slice between z0 and
     # |z| = R moves f by about 1e-9, under the on-curve floor, although the
-    # signs there are still opposite
+    # signs there are still opposite.  L_lam is judged at eta = -1 alone
     phis = ["H", "H-1", "identity", "H@rot:re=0.6,im=0.8", "H@rot:re=0.0,im=1.0"]
     omegas = ["monomial:lam_re=0.0,lam_im=1.0,N=3", "monomial:lam_re=-1.0,lam_im=0.0,N=1",
               "blaschke:seed=3,deg=2"]
     judged = {0: 0, 1: 0, None: 0}
-    for phi, eta, omega in itertools.product(phis, [-1.0, 1.0, 1j, 0.6 + 0.8j], omegas):
+    for phi, eta, omega in [*itertools.product(phis, [-1.0, 1.0, 1j, 0.6 + 0.8j], omegas),
+                            *itertools.product(["Llambda:re=0.0,im=1.0", "Llambda:re=0.6,im=0.8"],
+                                               [-1.0], omegas)]:
         f = shear_construct(ShearSystem(parse_phi(phi), parse_omega(omega), eta))
         for rho in (0.5, 0.99, 0.9999):
             m = f.map_points(rho * np.exp(2j * np.pi * (np.arange(40) + 0.3) / 40))
@@ -335,7 +338,19 @@ def test_the_slice_judge_never_puts_a_planted_preimage_outside():
                 assert None not in got or rho == 0.9999
                 for w in got:
                     judged[w] += 1
-    assert judged[0] == 0 and sum(judged.values()) == 14400
+    assert judged[0] == 0 and sum(judged.values()) == 15840
+
+
+def test_the_strip_slice_puts_lines_beyond_the_strip_outside():
+    # at eta = -1 the line m + iR is in L_lam's strip by psi = Im(c m) alone;
+    # moving m by pi/Im(lam) moves psi by 2 pi, and e^{i psi} would alias the
+    # line, now beyond the strip, to one that crosses f(D_r)
+    for phi in ("Llambda:re=0.0,im=1.0", "Llambda:re=0.6,im=0.8"):
+        f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("blaschke:seed=3,deg=2"), -1.0))
+        m = f.map_points(0.5 * np.exp(2j * np.pi * (np.arange(40) + 0.3) / 40))
+        assert slice_judge(f, m, 0.9) == [1] * 40
+        for shift in np.array([-1.0, 1.0]) * np.pi / f.shear.phi.strip.imag:
+            assert slice_judge(f, m + shift, 0.9) == [0] * 40
 
 
 @pytest.mark.parametrize("phi", ["H", "identity", "H@rot:re=0.6,im=0.8"])
@@ -367,11 +382,17 @@ def test_the_slice_judge_puts_known_bad_points_inside():
     assert slice_judge(f, [m], 0.98) == [0]
 
 
-@pytest.mark.parametrize("phi,judge", [("H", "slice"), ("H@rot:re=0.6,im=0.8", "slice"),
-                                       ("koebe", "winding"), ("Llambda:re=0.0,im=1.0", "winding")])
-def test_witness_gates_use_the_slice_for_mobius_data(phi, judge, monkeypatch):
-    # the midpoint certificate and the persistent witness ask one judge:
-    # the slice for a Mobius phi, the winding curves for every other
+@pytest.mark.parametrize("phi,eta,judge,summary", [
+    ("H", 1.0, "slice", "FAILURE"), ("H@rot:re=0.6,im=0.8", 1.0, "slice", "FAILURE"),
+    ("koebe", 1.0, "winding", "FAILURE"), ("Llambda:re=0.0,im=1.0", 1.0, "winding", "FAILURE"),
+    ("Llambda:re=0.6,im=0.8", -1.0, "slice", "NO_FAILURE_FOUND"),
+    # rotate_analytic drops lam, so a rotated L_lam keeps the winding curves
+    ("Llambda:re=0.0,im=1.0@rot:re=0.6,im=0.8", -1.0, "winding", "FAILURE")])
+def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, summary,
+                                                             monkeypatch):
+    # the midpoint certificate and the persistent witness ask one judge: the
+    # slice for a Mobius phi and for L_lam at eta = -1, the winding curves
+    # for every other datum
     calls = []
 
     def recording(name, fn):
@@ -383,11 +404,11 @@ def test_witness_gates_use_the_slice_for_mobius_data(phi, judge, monkeypatch):
     monkeypatch.setattr(shearconvex.probe, "slice_judge",
                         recording("slice", shearconvex.probe.slice_judge))
     monkeypatch.setattr(_WindingCurves, "winding", recording("winding", _WindingCurves.winding))
-    f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("monomial:N=1"), 1.0))
+    f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("monomial:N=1"), eta))
     _, rep = convexity_check_resolved(f, 0.99)
     assert midpoint_certificate(f, 0.99, rep.witness) is not None
-    cfg = ProbeConfig(phi_spec=phi, eta=1.0 + 0.0j, family_spec="explicit:monomial:N=1")
-    assert probe_admissibility(cfg).summary == "FAILURE"
+    cfg = ProbeConfig(phi_spec=phi, eta=complex(eta), family_spec="explicit:monomial:N=1")
+    assert probe_admissibility(cfg).summary == summary
     assert set(calls) == {judge}
 
 
