@@ -34,9 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (BACKTURN_TOL, NEAR_BOUNDARY_RADIUS, NON_CONVEX_BACKTURN,
-                       REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX, TURNING_SAMPLES,
-                       ConvexityReport, convexity_check_resolved, split_steps)
+from .geometry import (BACKTURN_TOL, NON_CONVEX_BACKTURN, REFINE_MAX_ROUNDS,
+                       REFINE_SAMPLES_MAX, TURNING_SAMPLES, ConvexityReport,
+                       convexity_check_resolved, split_steps)
 from .quadrature import ToleranceNotMet
 from .shear import HarmonicMap, ShearSystem, shear_construct
 from .specs import (DEFAULT_FAMILY, DEFAULT_RADII, check_radii, family_from_spec,
@@ -50,7 +50,6 @@ NEWTON_TOL = 1e-8                # residual, relative to 1 + |m|
 NEWTON_R_CAP = 0.999999          # largest |z| of a Newton iterate
 NEWTON_CAP_STRIKES = 3           # consecutive iterates held at the cap retire a seed
 ONSET_STEPS = 8                  # bisection steps of the onset radius
-LINE_RESIDUAL_FRAC = 0.03        # straight: transverse spread / extent along the chord
 ON_CURVE = 1e-9                  # a point this near a curve (relative to 1 + |m|) is not judged
 
 
@@ -537,62 +536,3 @@ def probe_admissibility(cfg: ProbeConfig) -> ProbeReport:
     notes.sort()
     return ProbeReport(cfg, per_omega, notes=notes, failures=failures)
 
-
-# ---------------------------------------------------------------------------
-# Half-plane / strip identification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegionId:
-    kind: str                      # HALF_PLANE | STRIP | OTHER
-    normal: Optional[complex] = None     # HALF_PLANE: {Re(conj(normal) w) > offset}
-    offset: Optional[float] = None
-    a: Optional[float] = None            # STRIP: {a < Re(conj(normal) w) < b}
-    b: Optional[float] = None
-
-    @property
-    def strip_width_over_pi(self) -> Optional[float]:
-        if self.kind != "STRIP":
-            return None
-        return (self.b - self.a) / np.pi
-
-
-def halfplane_strip_identifier(f: HarmonicMap) -> RegionId:
-    """Classify the near-boundary image as half-plane, strip, or neither.
-
-    The boundary runs off to infinity only at ``ShearSystem.pole_angles``,
-    so each arc between consecutive poles maps to one piece of it.  The
-    middle half of an arc, read at r = ``NEAR_BOUNDARY_RADIUS``, is straight
-    when it advances monotonically along its end-to-end chord d with a
-    transverse spread of at most ``LINE_RESIDUAL_FRAC`` times its extent.
-    One pole with a straight arc is a half-plane, two with straight arcs
-    running in opposite directions a strip, anything else OTHER.  The curve
-    is positively oriented, so the inward normal is i d; each offset is the
-    extreme transverse sample, off by O((1 - r) / gap) on an arc of angle
-    gap; a strip's normal has Re >= 0.  The answer is only as complete as ``pole_angles``: a Blaschke
-    omega's zeros of 1 - eta omega are not listed and bend an arc, and a
-    monomial shear's extra poles make three or more ends; both give OTHER.
-    """
-    poles = f.shear.pole_angles
-    if not 1 <= poles.size <= 2:
-        return RegionId("OTHER")
-    gaps = np.diff(poles, append=poles[0] + 2.0 * np.pi)
-    # an odd count makes each arc's midpoint a sample
-    theta = poles[:, None] + gaps[:, None] * np.linspace(0.25, 0.75, TURNING_SAMPLES // 2 + 1)
-    hg = f.parts_on_circle(NEAR_BOUNDARY_RADIUS, theta)
-    gamma = hg[0] + np.conj(hg[1])
-    d = (gamma[:, -1] - gamma[:, 0]) / np.abs(gamma[:, -1] - gamma[:, 0])
-    u = np.conj(d[:, None]) * (gamma - gamma[:, :1])
-    if not (np.all(np.diff(u.real) > 0)
-            and np.all(np.ptp(u.imag, axis=1) <= LINE_RESIDUAL_FRAC * u.real[:, -1])):
-        return RegionId("OTHER")
-    nrm = complex(1j * d[0])
-    q = (np.conj(nrm) * gamma).real
-    if poles.size == 1:
-        return RegionId("HALF_PLANE", normal=nrm, offset=float(q.min()))
-    if abs(d[0] + d[1]) > LINE_RESIDUAL_FRAC:
-        return RegionId("OTHER")
-    a, b = float(q[0].min()), float(q[1].max())
-    if nrm.real < 0:
-        nrm, a, b = -nrm, -b, -a
-    return RegionId("STRIP", normal=nrm, a=a, b=b)

@@ -13,10 +13,9 @@ import numpy as np
 
 from .boundary_rotation import boundary_rotation_value, brannan_transform, vk_membership
 from .functions import CatalogId, MonomialOmega, catalog, make_schwarz
-from .geometry import (convexity_check_resolved, directional_convexity_check,
-                       parabola_residual, sample_boundary)
-from .probe import (ProbeConfig, halfplane_strip_identifier, midpoint_certificate,
-                    probe_admissibility)
+from .geometry import (PARABOLA_EXCLUDE, convexity_check_resolved,
+                       directional_convexity_check, parabola_residual, sample_boundary)
+from .probe import ProbeConfig, midpoint_certificate, probe_admissibility
 from .shear import (ShearSystem, analytic_combination, harmonic_from_analytic,
                     shear_construct)
 from .specs import DEFAULT_FAMILY, DEFAULT_RADII
@@ -46,7 +45,7 @@ def case_f0() -> List[Row]:
     rows.append(("convexity at r=0.99 is NON_CONVEX", rep.verdict == "NON_CONVEX",
                  f"verdict {rep.verdict}, back-turn {rep.worst_backturn:.3f} rad"))
     m = midpoint_certificate(f, 0.99, rep.witness)
-    rows.append(("midpoint winding witness exists", m is not None,
+    rows.append(("midpoint witness exists", m is not None,
                  f"midpoint {m}" if m is not None else "no certificate"))
     return rows
 
@@ -102,24 +101,32 @@ def case_llambda() -> List[Row]:
 
 
 def case_halfplane() -> List[Row]:
+    """The paper's regions, read from phi's closed form on |z| = 1.
+
+    H maps the disk onto the half-plane Re w > -1/2 and L_i onto the strip
+    |Re w| < pi/4; f0 = f0h + conj(f0g) maps it onto the inside of the
+    parabola Re w + (Im w)^2 + 1/4 < 0, neither.  The angles sit halfway
+    between the points of a uniform grid, so none is a pole of phi' (0,
+    +-pi/2, pi); f0 is read off its pole, at |theta| >= ``PARABOLA_EXCLUDE``.
+    """
+    theta = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096 - np.pi
+    z = np.exp(1j * theta)
     rows: List[Row] = []
-    H = harmonic_from_analytic(catalog(CatalogId("H")))
-    rid = halfplane_strip_identifier(H)
-    ok = (rid.kind == "HALF_PLANE" and rid.offset is not None
-          and abs(rid.offset + 0.5) <= 1e-3)
-    rows.append(("H identified as half-plane with offset -1/2 (+-1e-3)", ok,
-                 f"kind {rid.kind}, offset {rid.offset}"))
-    Li = harmonic_from_analytic(catalog(CatalogId("L_LAMBDA", 1j)))
-    rid2 = halfplane_strip_identifier(Li)
-    ok2 = (rid2.kind == "STRIP" and rid2.strip_width_over_pi is not None
-           and abs(rid2.strip_width_over_pi - 0.5) <= 1e-3)
-    rows.append(("L_i identified as strip with width/pi = 1/2 (+-1e-3)", ok2,
-                 f"kind {rid2.kind}, width/pi {rid2.strip_width_over_pi}"))
-    f0 = shear_construct(ShearSystem(catalog(CatalogId("H")),
-                                     make_schwarz(MonomialOmega(1.0, 1)), 1.0))
-    rid3 = halfplane_strip_identifier(f0)
-    rows.append(("parabola image identified as OTHER", rid3.kind == "OTHER",
-                 f"kind {rid3.kind}"))
+    dev = float(np.abs(catalog(CatalogId("H")).value(z).real + 0.5).max())
+    rows.append(("H's boundary is the line Re w = -1/2 (+-1e-3)", dev <= 1e-3,
+                 f"max deviation {dev:.1e}"))
+    re = catalog(CatalogId("L_LAMBDA", 1j)).value(z).real
+    dev = float(np.abs(np.abs(re) - np.pi / 4).max())
+    width = float(np.ptp(re) / np.pi)
+    rows.append(("L_i's boundary is the lines Re w = +-pi/4, width/pi = 1/2 (+-1e-3)",
+                 dev <= 1e-3 and abs(width - 0.5) <= 1e-3,
+                 f"width/pi {width!r}, max deviation {dev:.1e}"))
+    arc = z[np.abs(theta) >= PARABOLA_EXCLUDE]
+    w = (catalog(CatalogId("F0_H_PART")).value(arc)
+         + np.conj(catalog(CatalogId("F0_G_PART")).value(arc)))
+    resid = float(np.abs(w.real + w.imag ** 2 + 0.25).max())
+    rows.append(("f0's boundary is the parabola Re w + (Im w)^2 + 1/4 = 0 (+-1e-3)",
+                 resid <= 1e-3, f"residual {resid:.1e}"))
     return rows
 
 

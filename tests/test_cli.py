@@ -175,7 +175,7 @@ def test_reproduce_f0_without_a_back_turn_prints_fail_rows(capsys, monkeypatch):
     code, out, _ = run(capsys, "reproduce", "--case", "f0")
     assert code == 2
     assert "FAIL  convexity at r=0.99 is NON_CONVEX  [verdict CONVEX," in out
-    assert "FAIL  midpoint winding witness exists  [no certificate]" in out
+    assert "FAIL  midpoint witness exists  [no certificate]" in out
 
 
 def test_malformed_spec_exits_one(capsys):

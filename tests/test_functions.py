@@ -196,3 +196,16 @@ def test_the_strip_fact_is_the_map(cid, disk_grid):
     assert lam == cid.param
     e = np.exp(2j * lam.imag * phi.value(disk_grid))
     assert np.abs((e - 1.0) / (lam * e - np.conj(lam)) - disk_grid).max() <= 1e-15
+
+
+@pytest.mark.parametrize("arg", [np.pi / 3, np.pi / 2, 2 * np.pi / 3, 0.1],
+                         ids=["pi/3", "pi/2", "2pi/3", "0.1"])
+def test_the_strip_map_has_width_pi_over_2_im_lam(arg):
+    # on |z| = 1, off the poles lam and conj(lam), (1 - conj(lam) z)/(1 - lam z)
+    # lies on a line through 0, so Re L_lam takes two values pi/(2 Im lam) apart
+    lam = complex(np.exp(1j * arg))
+    circle = np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
+    re = catalog(CatalogId("L_LAMBDA", lam)).value(circle).real
+    width = np.pi / (2.0 * lam.imag)
+    assert np.ptp(re) == pytest.approx(width, rel=1e-12)
+    assert np.minimum(re - re.min(), re.max() - re).max() <= 1e-12 * width

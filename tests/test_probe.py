@@ -13,9 +13,8 @@ from shearconvex.geometry import (TURNING_SAMPLES, ConvexityReport, convexity_ch
                                   directional_convexity_check, sample_boundary)
 from shearconvex.probe import (NEWTON_CAP_STRIKES, NEWTON_ITERS, NEWTON_R_CAP, NEWTON_TOL,
                                ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
-                               _WindingCurves, _extension_radii, halfplane_strip_identifier,
-                               midpoint_certificate, newton_preimage,
-                               probe_admissibility, slice_judge)
+                               _WindingCurves, _extension_radii, midpoint_certificate,
+                               newton_preimage, probe_admissibility, slice_judge)
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
@@ -318,11 +317,14 @@ def test_the_slice_judge_agrees_with_the_winding_gate(workload):
 
 def test_the_slice_judge_never_puts_a_planted_preimage_outside():
     # m = f(z0) lies in f(D_R) for every R > |z0|, so 0 would be wrong.  A
-    # None comes only at |z0| = 0.9999 (176 of 15,840, nearly all with omega
-    # = -z, which is unimodular on the circle): the Jacobian
+    # None comes only at |z0| >= 0.9999 (176 of 5,280 at 0.9999, nearly all
+    # with omega = -z, which is unimodular on the circle): the Jacobian
     # |h'|^2 (1 - |omega|^2) vanishes at the rim, so the slice between z0 and
     # |z| = R moves f by about 1e-9, under the on-curve floor, although the
-    # signs there are still opposite.  L_lam is judged at eta = -1 alone
+    # signs there are still opposite.  The rim points, |z0| = 0.99999 and
+    # 0.999995, are judged at NEWTON_R_CAP alone (the other R would lie
+    # inside |z0|); there R - |z0| is so small that most answers are None
+    # (1,726 and 1,891 of 2,640).  L_lam is judged at eta = -1 alone
     phis = ["H", "H-1", "identity", "H@rot:re=0.6,im=0.8", "H@rot:re=0.0,im=1.0"]
     omegas = ["monomial:lam_re=0.0,lam_im=1.0,N=3", "monomial:lam_re=-1.0,lam_im=0.0,N=1",
               "blaschke:seed=3,deg=2"]
@@ -331,14 +333,16 @@ def test_the_slice_judge_never_puts_a_planted_preimage_outside():
                             *itertools.product(["Llambda:re=0.0,im=1.0", "Llambda:re=0.6,im=0.8"],
                                                [-1.0], omegas)]:
         f = shear_construct(ShearSystem(parse_phi(phi), parse_omega(omega), eta))
-        for rho in (0.5, 0.99, 0.9999):
+        for rho in (0.5, 0.99, 0.9999, 0.99999, 0.999995):
             m = f.map_points(rho * np.exp(2j * np.pi * (np.arange(40) + 0.3) / 40))
             for r in (min((1.0 + rho) / 2.0, 0.99995), NEWTON_R_CAP):
+                if r < rho:
+                    continue
                 got = slice_judge(f, m, r)
-                assert None not in got or rho == 0.9999
+                assert None not in got or rho >= 0.9999
                 for w in got:
                     judged[w] += 1
-    assert judged[0] == 0 and sum(judged.values()) == 15840
+    assert judged[0] == 0 and sum(judged.values()) == 21120
 
 
 def test_the_strip_slice_puts_lines_beyond_the_strip_outside():
@@ -463,36 +467,6 @@ def test_a_winding_past_the_sample_cap_is_untrusted(f0, monkeypatch):
     # with no room to refine, every point that needs a refinement round is None
     monkeypatch.setattr(shearconvex.probe, "REFINE_SAMPLES_MAX", WINDING_SAMPLES)
     assert _WindingCurves(f0).winding(candidates, 0.99) == [None] * 12
-
-
-_ROTATIONS = (0.3, 1.3231, 2.5, -2.0)
-
-
-@pytest.mark.parametrize("spec,normal", [("H", 1.0), ("H-1", -1.0)] + [
-    (f"H@rot:re={np.cos(x)},im={np.sin(x)}", complex(np.exp(-1j * x))) for x in _ROTATIONS],
-    ids=["H", "H-1"] + [f"H@rot:{x}" for x in _ROTATIONS])
-def test_identifier_halfplane(spec, normal):
-    rid = halfplane_strip_identifier(harmonic_from_analytic(parse_phi(spec)))
-    assert rid.kind == "HALF_PLANE"
-    assert rid.offset == pytest.approx(-0.5, abs=1e-3)
-    assert abs(rid.normal - normal) <= 1e-9
-
-
-@pytest.mark.parametrize("arg", [np.pi / 3, np.pi / 2, 2 * np.pi / 3, 0.1],
-                         ids=["pi/3", "pi/2", "2pi/3", "0.1"])
-def test_identifier_strip(arg):
-    lam = np.exp(1j * arg)
-    rid = halfplane_strip_identifier(
-        harmonic_from_analytic(catalog(CatalogId("L_LAMBDA", lam))))
-    assert rid.kind == "STRIP"
-    if arg > 0.1:   # at arg 0.1 the width reads 6.4e-3 short at r = 0.999; kind only
-        assert rid.strip_width_over_pi == pytest.approx(1 / (2 * lam.imag), rel=1e-3)
-
-
-@pytest.mark.parametrize("which", ["f0", "koebe", "identity"])
-def test_identifier_other(which, f0):
-    f = f0 if which == "f0" else harmonic_from_analytic(parse_phi(which))
-    assert halfplane_strip_identifier(f).kind == "OTHER"
 
 
 def _css_characterization(f, t_grid, radii) -> dict:

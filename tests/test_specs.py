@@ -134,7 +134,7 @@ def test_explicit_family_replays_every_seed7_key():
             == [w.spec.text for w in family_from_spec("explicit:monomial:N=1+zero")])
 
 
-@pytest.mark.parametrize("angle", [np.pi, np.pi / 2, np.pi / 3, 1.3231])
+@pytest.mark.parametrize("angle", [np.pi, np.pi / 2, np.pi / 3, 1.3231, 0.3, 2.5, -2.0])
 def test_rotated_h_is_the_halfplane_map(angle, disk_grid):
     # H@rot:c is conj(c) H(cz) = z/(1 - cz), the rotated half-plane map
     c = complex(np.exp(1j * angle))
@@ -143,6 +143,10 @@ def test_rotated_h_is_the_halfplane_map(angle, disk_grid):
     refs = (z / (1 - c * z), 1 / (1 - c * z) ** 2, 2 * c / (1 - c * z) ** 3)
     for got, ref in zip(phi.eval(z), refs):
         assert (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
+    # its image is the half-plane Re(c w) > -1/2: on |z| = 1, off the pole
+    # conj(c), c phi = H(cz) has real part -1/2 (rounding grows like |phi|^2)
+    circle = np.conj(c) * np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
+    assert np.abs((c * phi.value(circle)).real + 0.5).max() <= 1e-10
     if angle == np.pi:
         for got, ref in zip(phi.eval(z), parse_phi("H-1").eval(z)):
             assert (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
