@@ -10,17 +10,18 @@ curves of perfectly admissible shears wobble at r = 0.9 and beyond.
 A FAILURE therefore requires a *persistent* witness: from the worst
 back-turn window the probe builds a midpoint certificate, two curve points
 whose chord midpoint lies outside the image, and the certificate must stay
-outside at every larger ladder radius and at extension radii pushed toward
-|z| = 1, then defeat a Newton preimage search.  Hereditary wobbles get
-absorbed as r grows (their pockets shrink like 1 - r); genuine
+outside f(D_r) for every r from the ladder up to NEWTON_R_CAP.  Hereditary
+wobbles get absorbed as r grows (their pockets shrink like 1 - r); genuine
 non-convexity of the full image leaves a fixed pocket that never fills in.
 
 "Outside f(D_r)" has two judges.  For a Mobius phi = z/(1 - xi z) (H, H-1,
 the identity and their rotations), and for the strip map L_lam at eta = -1,
 ``slice_judge`` decides it exactly from two map points: the points sent to
 the line m + sqrt(eta) R form one arc of D_r, and f, univalent by the
-Clunie--Sheil-Small shear theorem, is monotone along it.  Every other datum
-keeps the trusted winding number of a refined image curve (``_WindingCurves``).
+Clunie--Sheil-Small shear theorem, is monotone along it.  f(D_r) grows with
+r, so one 0 at NEWTON_R_CAP covers every smaller radius.  Every other datum
+keeps the trusted winding number of a refined image curve (``_WindingCurves``)
+at each larger ladder radius and two extension radii, then a Newton search.
 
 NO_FAILURE_FOUND is a report about the family searched, never a proof of
 admissibility; INCOMPLETE says no failure was found but some dilatation
@@ -197,10 +198,13 @@ def _disk_ends(xi: complex, u: complex, m, r: float):
 
     phi(D_r) is the disk with center conj(xi) r^2/s and radius r/s,
     s = 1 - |xi|^2 r^2, and its rim points w+- come back as w/(1 + xi w).
+    The squared half-chord (r/s)^2 - Im(d)^2 is expanded, so that no term of
+    size (r/s)^2 (2.5e11 at NEWTON_R_CAP) cancels where |Im(conj(u xi))| = 1.
     """
     s = 1.0 - abs(xi) ** 2 * r * r
     d = np.conj(u) * (m - np.conj(xi) * r * r / s)    # m from the center, in the frame of u
-    half = (r / s) ** 2 - d.imag ** 2                 # squared half-chord of the line
+    a, k = (np.conj(u) * m).imag, (np.conj(u * xi)).imag
+    half = r * r * (1.0 - k * k * r * r) / (s * s) + a * (2.0 * k * r * r / s - a)
     cut = np.flatnonzero(half > 0.0)
     w = m[cut] + u * (np.sqrt(half[cut]) * np.array([[-1.0], [1.0]]) - d.real[cut])
     return cut, w / (1.0 + xi * w)
@@ -227,7 +231,8 @@ def _strip_ends(lam: complex, m, r: float):
 def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Optional[int]]:
     """``_WindingCurves.winding``'s answers for a shear of a Mobius phi =
     z/(1 - xi z) or, at eta = -1, of phi = L_lam, from two map points per
-    point m: 1 in f(D_r), 0 outside, None on the curve.
+    point m at any r < 1, NEWTON_R_CAP too: 1 in f(D_r), 0 outside, None on
+    the curve.
 
     f - phi is a real multiple of u = sqrt(eta), so f(z) is on the line
     m + uR exactly when phi(z) is.  Its preimage in D_r is empty or one arc
@@ -252,12 +257,15 @@ def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Opt
     return out
 
 
-def _judge(f: HarmonicMap):
-    """The witness gates' answer to "is m in f(D_r)?" for a batch at one
-    radius: the slice for a Mobius phi and for L_lam at eta = -1, the
-    winding curves otherwise."""
+def _sliced(f: HarmonicMap) -> bool:
+    """Whether ``slice_judge`` serves f: a Mobius phi, or L_lam at eta = -1."""
     phi = f.shear.phi
-    if phi.mobius is not None or (phi.strip is not None and f.shear.eta == -1.0):
+    return phi.mobius is not None or (phi.strip is not None and f.shear.eta == -1.0)
+
+
+def _judge(f: HarmonicMap):
+    """The witness gates' "is m in f(D_r)?" for a batch at one radius."""
+    if _sliced(f):
         return lambda points, r: slice_judge(f, points, r)
     return _WindingCurves(f).winding
 
@@ -464,32 +472,34 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     """Search back-turn anchors, deepest radius first, for a midpoint that
     the image demonstrably never covers.
 
-    Three gates: the midpoint must stay outside at every larger ladder
-    radius, stay outside at two extension radii pushed toward |z| = 1, and
-    defeat a Newton preimage search.  "Outside" is a 0 of ``_judge``: the
-    exact slice for a Mobius phi, a trusted winding zero otherwise.
-    Hereditary pockets fail the outside gates (the growing image absorbs
-    them); chords spanning the image's unbounded end fail the preimage gate.
-    All candidates of one anchor radius go through the outside gates
-    together, one batch per radius from the outermost in, each batch holding
-    only the survivors of the last; Newton then takes the survivors in
-    candidate order, whichever judge passed them.  The search ends at the
-    first anchor radius that certifies a midpoint.
+    "Outside" is a 0 of ``_judge``.  All candidates of one anchor radius go
+    through it together, one batch per radius from the outermost in, each
+    batch holding only the survivors of the last.  A trusted winding zero
+    must hold at every larger ladder radius and at two extension radii
+    pushed toward |z| = 1, and the survivor must then defeat a Newton
+    preimage search, in candidate order.  The exact slice needs only the
+    outermost radius, which drops most candidates cheaply, then
+    NEWTON_R_CAP: f(D_r) grows with r, and no Newton iterate passes the
+    cap, so its first survivor is the certificate (a point within
+    ``ON_CURVE`` of the curve is never one).  The search ends at the first
+    anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
-    judge = _judge(f)
+    judge, sliced = _judge(f), _sliced(f)
     suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
     for r_anchor in reversed(suspicious):
         anchors = _window_anchors(reports[r_anchor])
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
         probe_order = sorted(higher, reverse=True)
+        if sliced:     # a 0 at the cap is a 0 at every inner radius, past Newton's reach
+            probe_order[1:] = [NEWTON_R_CAP]
         survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
         for r in probe_order:
             if survivors:
                 windings = judge(survivors, r)
                 survivors = [m for m, w in zip(survivors, windings) if w == 0]
         for m in survivors:
-            if newton_preimage(f, m, anchors) is None:
+            if sliced or newton_preimage(f, m, anchors) is None:
                 return r_anchor, m, higher
     return None
 

@@ -357,15 +357,22 @@ def test_the_strip_slice_puts_lines_beyond_the_strip_outside():
             assert slice_judge(f, m + shift, 0.9) == [0] * 40
 
 
-@pytest.mark.parametrize("phi", ["H", "identity", "H@rot:re=0.6,im=0.8"])
+@pytest.mark.parametrize("phi", ["H", "identity", "H@rot:re=0.6,im=0.8", "H-1",
+                                 "H@rot:re=0.0,im=1.0"])
 def test_a_point_on_the_image_curve_is_not_judged(phi):
     # m = f(r e^{i t}) ends its own slice, so sigma is 0 there up to rounding,
-    # within the on-curve floor: None, as the winding gate answers on a sample
-    for eta in (-1.0, 1j):
+    # within the on-curve floor: None, as the winding gate answers on a sample.
+    # H and H-1 at eta = -1 and H@rot:i at eta = 1 run the slice parallel to
+    # the half-plane's edge, where the squared half-chord at NEWTON_R_CAP is
+    # a difference of two terms of about 2.5e11 unless it is summed expanded;
+    # so summed, a point planted 1e-10 inside the cap is never put outside it
+    etas = {"H-1": (-1.0,), "H@rot:re=0.0,im=1.0": (1.0,)}.get(phi, (-1.0, 1j))
+    t = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
+    for eta in etas:
         f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("blaschke:seed=3,deg=2"), eta))
-        for r in (0.9, 0.999):
-            m = f.map_points(r * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16))
-            assert slice_judge(f, m, r) == [None] * 16
+        for r in (0.9, 0.999, NEWTON_R_CAP):
+            assert slice_judge(f, f.map_points(r * t), r) == [None] * 64
+        assert 0 not in slice_judge(f, f.map_points((NEWTON_R_CAP - 1e-10) * t), NEWTON_R_CAP)
 
 
 def test_the_slice_judge_puts_known_bad_points_inside():
@@ -386,17 +393,53 @@ def test_the_slice_judge_puts_known_bad_points_inside():
     assert slice_judge(f, [m], 0.98) == [0]
 
 
-@pytest.mark.parametrize("phi,eta,judge,summary", [
-    ("H", 1.0, "slice", "FAILURE"), ("H@rot:re=0.6,im=0.8", 1.0, "slice", "FAILURE"),
-    ("koebe", 1.0, "winding", "FAILURE"), ("Llambda:re=0.0,im=1.0", 1.0, "winding", "FAILURE"),
-    ("Llambda:re=0.6,im=0.8", -1.0, "slice", "NO_FAILURE_FOUND"),
+def test_no_planted_rim_preimage_is_certified(monkeypatch):
+    # m = f(z0) with 0.9999 < |z0| < NEWTON_R_CAP is outside f(D_r) at the
+    # ladder radii but inside f(D) (and f(D_{NEWTON_R_CAP})), so no witness
+    # search may certify it.  The planted point is the only candidate, and
+    # the window, where Newton puts its anchors, sits opposite arg z0: with
+    # the extension radii and Newton, 12 of the 480 inside the cap were
+    # certified.  A point on the cap's own curve (|z0| = NEWTON_R_CAP) is
+    # within the on-curve floor, which no certificate may reach either
+    cfg = ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j)
+    omegas = family_from_spec("monomial-grid:phases=8,nmax=1")[:4]
+    certified = []
+    for phi, eta in [("H", -1.0), ("H@rot:re=0.0,im=1.0", -1.0), ("identity", -1.0),
+                     ("Llambda:re=0.0,im=1.0", -1.0), ("H-1", 1j)]:
+        for omega in omegas:
+            f = shear_construct(ShearSystem(parse_phi(phi), omega, eta))
+            for rho in (0.99995, 0.99999, 0.999995, NEWTON_R_CAP):
+                for k in range(8):
+                    arg = 2.0 * np.pi * (k + 0.37) / 8
+                    m = complex(f.map_points(rho * np.exp(1j * arg)))
+                    monkeypatch.setattr(shearconvex.probe, "_candidate_midpoints",
+                                        lambda f, r, anchors, m=m: [m])
+                    away = arg + np.pi
+                    reports = {r: ConvexityReport("CONVEX", 2.0 * np.pi, 0.0, None, 0.1, 4096)
+                               for r in cfg.radii}
+                    reports[cfg.radii[-1]] = ConvexityReport(
+                        "NON_CONVEX", 2.0 * np.pi, 0.1, (away - 0.1, away + 0.1), 0.1, 4096)
+                    if shearconvex.probe._persistent_witness(f, cfg, reports) is not None:
+                        certified.append((phi, omega.spec.text, rho, k))
+    assert certified == []
+
+
+_GATE_ROWS = [
+    ("H", 1.0, "slice", "FAILURE", 0), ("H@rot:re=0.6,im=0.8", 1.0, "slice", "FAILURE", 0),
+    ("koebe", 1.0, "winding", "FAILURE", 1), ("Llambda:re=0.0,im=1.0", 1.0, "winding", "FAILURE", 1),
+    ("Llambda:re=0.6,im=0.8", -1.0, "slice", "NO_FAILURE_FOUND", 0),
     # rotate_analytic drops lam, so a rotated L_lam keeps the winding curves
-    ("Llambda:re=0.0,im=1.0@rot:re=0.6,im=0.8", -1.0, "winding", "FAILURE")])
-def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, summary,
+    ("Llambda:re=0.0,im=1.0@rot:re=0.6,im=0.8", -1.0, "winding", "FAILURE", 1)]
+
+
+@pytest.mark.parametrize("phi,eta,judge,summary,newton", _GATE_ROWS,
+                         ids=["-".join(map(str, row[:4])) for row in _GATE_ROWS])
+def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, summary, newton,
                                                              monkeypatch):
     # the midpoint certificate and the persistent witness ask one judge: the
     # slice for a Mobius phi and for L_lam at eta = -1, the winding curves
-    # for every other datum
+    # for every other datum.  Only the winding gate is followed by a Newton
+    # search; the slice's one query at NEWTON_R_CAP leaves Newton nothing
     calls = []
 
     def recording(name, fn):
@@ -408,12 +451,15 @@ def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, su
     monkeypatch.setattr(shearconvex.probe, "slice_judge",
                         recording("slice", shearconvex.probe.slice_judge))
     monkeypatch.setattr(_WindingCurves, "winding", recording("winding", _WindingCurves.winding))
+    monkeypatch.setattr(shearconvex.probe, "newton_preimage",
+                        recording("newton", shearconvex.probe.newton_preimage))
     f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("monomial:N=1"), eta))
     _, rep = convexity_check_resolved(f, 0.99)
     assert midpoint_certificate(f, 0.99, rep.witness) is not None
     cfg = ProbeConfig(phi_spec=phi, eta=complex(eta), family_spec="explicit:monomial:N=1")
     assert probe_admissibility(cfg).summary == summary
-    assert set(calls) == {judge}
+    assert calls.count("newton") == newton
+    assert set(calls) - {"newton"} == {judge}
 
 
 @pytest.fixture(scope="module")
