@@ -10,18 +10,18 @@ curves of perfectly admissible shears wobble at r = 0.9 and beyond.
 A FAILURE therefore requires a *persistent* witness: from the worst
 back-turn window the probe builds a midpoint certificate, two curve points
 whose chord midpoint lies outside the image, and the certificate must stay
-outside f(D_r) for every r from the ladder up to NEWTON_R_CAP.  Hereditary
-wobbles get absorbed as r grows (their pockets shrink like 1 - r); genuine
+outside at every larger ladder radius and at extension radii pushed toward
+|z| = 1, then defeat a Newton preimage search.  Hereditary wobbles get
+absorbed as r grows (their pockets shrink like 1 - r); genuine
 non-convexity of the full image leaves a fixed pocket that never fills in.
 
 "Outside f(D_r)" has two judges.  For a Mobius phi = z/(1 - xi z) (H, H-1,
 the identity and their rotations), and for the strip map L_lam at eta = -1,
 ``slice_judge`` decides it exactly from two map points: the points sent to
 the line m + sqrt(eta) R form one arc of D_r, and f, univalent by the
-Clunie--Sheil-Small shear theorem, is monotone along it.  f(D_r) grows with
-r, so one 0 at NEWTON_R_CAP covers every smaller radius.  Every other datum
-keeps the trusted winding number of a refined image curve (``_WindingCurves``)
-at each larger ladder radius and two extension radii, then a Newton search.
+Clunie--Sheil-Small shear theorem, is monotone along it; it also judges a
+certificate at NEWTON_R_CAP, Newton's outermost radius.  Every other datum
+keeps the trusted winding number of a refined image curve (``_WindingCurves``).
 
 NO_FAILURE_FOUND is a report about the family searched, never a proof of
 admissibility; INCOMPLETE says no failure was found but some dilatation
@@ -231,8 +231,7 @@ def _strip_ends(lam: complex, m, r: float):
 def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Optional[int]]:
     """``_WindingCurves.winding``'s answers for a shear of a Mobius phi =
     z/(1 - xi z) or, at eta = -1, of phi = L_lam, from two map points per
-    point m at any r < 1, NEWTON_R_CAP too: 1 in f(D_r), 0 outside, None on
-    the curve.
+    point m: 1 in f(D_r), 0 outside, None on the curve.
 
     f - phi is a real multiple of u = sqrt(eta), so f(z) is on the line
     m + uR exactly when phi(z) is.  Its preimage in D_r is empty or one arc
@@ -257,17 +256,14 @@ def slice_judge(f: HarmonicMap, points: Sequence[complex], r: float) -> List[Opt
     return out
 
 
-def _sliced(f: HarmonicMap) -> bool:
-    """Whether ``slice_judge`` serves f: a Mobius phi, or L_lam at eta = -1."""
-    phi = f.shear.phi
-    return phi.mobius is not None or (phi.strip is not None and f.shear.eta == -1.0)
-
-
 def _judge(f: HarmonicMap):
-    """The witness gates' "is m in f(D_r)?" for a batch at one radius."""
-    if _sliced(f):
-        return lambda points, r: slice_judge(f, points, r)
-    return _WindingCurves(f).winding
+    """The witness gates' answer to "is m in f(D_r)?" for a batch at one
+    radius, and whether it is the exact slice: the slice for a Mobius phi and
+    for L_lam at eta = -1, the winding curves otherwise."""
+    phi = f.shear.phi
+    if phi.mobius is not None or (phi.strip is not None and f.shear.eta == -1.0):
+        return (lambda points, r: slice_judge(f, points, r)), True
+    return _WindingCurves(f).winding, False
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,8 @@ class FailureWitness:
     worst_backturn: float
     certificate_r: float                 # radius anchoring the midpoint certificate
     midpoint: complex
-    persists_at: Tuple[float, ...]
+    persists_at: Tuple[float, ...]       # larger radii it is outside at; the slice asks
+                                         # only the outermost, then NEWTON_R_CAP
     r_onset: float                       # smallest back-turning radius found
 
 
@@ -448,7 +445,7 @@ def midpoint_certificate(f: HarmonicMap, r: float,
     if theta_window is None:
         return None
     candidates = [m for m in _candidate_midpoints(f, r, [_window_mid(theta_window)])]
-    windings = _judge(f)(candidates, r)
+    windings = _judge(f)[0](candidates, r)
     return next((m for m, w in zip(candidates, windings) if w == 0), None)
 
 
@@ -472,34 +469,35 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     """Search back-turn anchors, deepest radius first, for a midpoint that
     the image demonstrably never covers.
 
-    "Outside" is a 0 of ``_judge``.  All candidates of one anchor radius go
-    through it together, one batch per radius from the outermost in, each
-    batch holding only the survivors of the last.  A trusted winding zero
-    must hold at every larger ladder radius and at two extension radii
-    pushed toward |z| = 1, and the survivor must then defeat a Newton
-    preimage search, in candidate order.  The exact slice needs only the
-    outermost radius, which drops most candidates cheaply, then
-    NEWTON_R_CAP: f(D_r) grows with r, and no Newton iterate passes the
-    cap, so its first survivor is the certificate (a point within
-    ``ON_CURVE`` of the curve is never one).  The search ends at the first
-    anchor radius that certifies a midpoint.
+    Three gates: the midpoint must stay outside at every larger ladder
+    radius, stay outside at two extension radii pushed toward |z| = 1, and
+    defeat a Newton preimage search.  "Outside" is a 0 of ``_judge``: the
+    exact slice for a Mobius phi, a trusted winding zero otherwise.
+    Hereditary pockets fail the outside gates (the growing image absorbs
+    them); chords spanning the image's unbounded end fail the preimage gate.
+    All candidates of one anchor radius go through the outside gates
+    together, one batch per radius from the outermost in, each batch holding
+    only the survivors of the last; the exact slice needs the outermost
+    only, as f(D_r) grows with r.  Newton then takes the survivors in
+    candidate order, whichever judge passed them, and the slice's survivor
+    must also be a 0 at NEWTON_R_CAP, where Newton can miss a preimage.  The
+    search ends at the first anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
-    judge, sliced = _judge(f), _sliced(f)
+    judge, sliced = _judge(f)
     suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
     for r_anchor in reversed(suspicious):
         anchors = _window_anchors(reports[r_anchor])
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
-        probe_order = sorted(higher, reverse=True)
-        if sliced:     # a 0 at the cap is a 0 at every inner radius, past Newton's reach
-            probe_order[1:] = [NEWTON_R_CAP]
+        probe_order = sorted(higher, reverse=True)[:1 if sliced else None]
         survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
         for r in probe_order:
             if survivors:
                 windings = judge(survivors, r)
                 survivors = [m for m, w in zip(survivors, windings) if w == 0]
         for m in survivors:
-            if sliced or newton_preimage(f, m, anchors) is None:
+            if newton_preimage(f, m, anchors) is None \
+                    and (not sliced or judge([m], NEWTON_R_CAP) == [0]):
                 return r_anchor, m, higher
     return None
 

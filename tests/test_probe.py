@@ -397,10 +397,11 @@ def test_no_planted_rim_preimage_is_certified(monkeypatch):
     # m = f(z0) with 0.9999 < |z0| < NEWTON_R_CAP is outside f(D_r) at the
     # ladder radii but inside f(D) (and f(D_{NEWTON_R_CAP})), so no witness
     # search may certify it.  The planted point is the only candidate, and
-    # the window, where Newton puts its anchors, sits opposite arg z0: with
-    # the extension radii and Newton, 12 of the 480 inside the cap were
-    # certified.  A point on the cap's own curve (|z0| = NEWTON_R_CAP) is
-    # within the on-curve floor, which no certificate may reach either
+    # the window, where Newton puts its anchors, sits opposite arg z0: the
+    # extension radii and Newton alone certified 12 of the 480 inside the
+    # cap, which the slice's query at the cap judges inside.  A point on the
+    # cap's own curve (|z0| = NEWTON_R_CAP) is within the on-curve floor,
+    # which no certificate may reach either
     cfg = ProbeConfig(phi_spec="H", eta=-1.0 + 0.0j)
     omegas = family_from_spec("monomial-grid:phases=8,nmax=1")[:4]
     certified = []
@@ -425,41 +426,39 @@ def test_no_planted_rim_preimage_is_certified(monkeypatch):
 
 
 _GATE_ROWS = [
-    ("H", 1.0, "slice", "FAILURE", 0), ("H@rot:re=0.6,im=0.8", 1.0, "slice", "FAILURE", 0),
-    ("koebe", 1.0, "winding", "FAILURE", 1), ("Llambda:re=0.0,im=1.0", 1.0, "winding", "FAILURE", 1),
+    ("H", 1.0, "slice", "FAILURE", 1), ("H@rot:re=0.6,im=0.8", 1.0, "slice", "FAILURE", 1),
+    ("koebe", 1.0, "winding", "FAILURE", 0), ("Llambda:re=0.0,im=1.0", 1.0, "winding", "FAILURE", 0),
     ("Llambda:re=0.6,im=0.8", -1.0, "slice", "NO_FAILURE_FOUND", 0),
     # rotate_analytic drops lam, so a rotated L_lam keeps the winding curves
-    ("Llambda:re=0.0,im=1.0@rot:re=0.6,im=0.8", -1.0, "winding", "FAILURE", 1)]
+    ("Llambda:re=0.0,im=1.0@rot:re=0.6,im=0.8", -1.0, "winding", "FAILURE", 0)]
 
 
-@pytest.mark.parametrize("phi,eta,judge,summary,newton", _GATE_ROWS,
+@pytest.mark.parametrize("phi,eta,judge,summary,at_cap", _GATE_ROWS,
                          ids=["-".join(map(str, row[:4])) for row in _GATE_ROWS])
-def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, summary, newton,
+def test_witness_gates_pick_the_slice_from_the_catalog_facts(phi, eta, judge, summary, at_cap,
                                                              monkeypatch):
     # the midpoint certificate and the persistent witness ask one judge: the
     # slice for a Mobius phi and for L_lam at eta = -1, the winding curves
-    # for every other datum.  Only the winding gate is followed by a Newton
-    # search; the slice's one query at NEWTON_R_CAP leaves Newton nothing
+    # for every other datum.  Only the slice also judges Newton's survivor at
+    # NEWTON_R_CAP, once for each FAILURE
     calls = []
 
     def recording(name, fn):
         def wrapper(*a, **k):
-            calls.append(name)
+            calls.append("cap" if name == "slice" and a[2] == NEWTON_R_CAP else name)
             return fn(*a, **k)
         return wrapper
 
     monkeypatch.setattr(shearconvex.probe, "slice_judge",
                         recording("slice", shearconvex.probe.slice_judge))
     monkeypatch.setattr(_WindingCurves, "winding", recording("winding", _WindingCurves.winding))
-    monkeypatch.setattr(shearconvex.probe, "newton_preimage",
-                        recording("newton", shearconvex.probe.newton_preimage))
     f = shear_construct(ShearSystem(parse_phi(phi), parse_omega("monomial:N=1"), eta))
     _, rep = convexity_check_resolved(f, 0.99)
     assert midpoint_certificate(f, 0.99, rep.witness) is not None
     cfg = ProbeConfig(phi_spec=phi, eta=complex(eta), family_spec="explicit:monomial:N=1")
     assert probe_admissibility(cfg).summary == summary
-    assert calls.count("newton") == newton
-    assert set(calls) - {"newton"} == {judge}
+    assert calls.count("cap") == at_cap
+    assert set(calls) - {"cap"} == {judge}
 
 
 @pytest.fixture(scope="module")
