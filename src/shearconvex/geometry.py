@@ -92,9 +92,10 @@ def _tangents(f: HarmonicMap, z: np.ndarray) -> np.ndarray:
 def split_steps(theta: np.ndarray, values: np.ndarray, first: np.ndarray, evaluate):
     """Split the steps that start at the indices ``first`` into 8 equal parts;
     ``evaluate`` gives values (last axis) at the parts' (first.size, 8) angles,
-    each row from its step's first sample on.  Returns theta and values in curve order."""
-    widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
-    steps = theta[first, None] + widths[first, None] * (np.arange(8) / 8.0)[None, :]
+    each row from its step's first sample on.  Returns theta and values in curve
+    order.  Only the split steps' widths are computed (the last step wraps to 0)."""
+    widths = (theta[(first + 1) % theta.size] - theta[first]) % (2.0 * np.pi)
+    steps = theta[first, None] + widths[:, None] * (np.arange(8) / 8.0)[None, :]
     new = evaluate(steps)[..., 1:]
     at = np.repeat(first + 1, 7)
     return (np.insert(theta, at, steps[:, 1:].ravel()),
@@ -157,7 +158,9 @@ def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = TURNING_SAMPLES
                              ) -> Tuple[BoundaryCurve, ConvexityReport]:
     """Split the turning steps above ``MAX_TRUSTED_STEP`` of the n0-sample curve,
     with exact tangents, until none is left or the refinement limits stop it
-    (the verdict is then INCONCLUSIVE); return the refined curve and its report."""
+    (the verdict is then INCONCLUSIVE); return the refined curve and its report.
+    A round recomputes only the increments of the 8 parts of each split step;
+    every other step keeps its endpoints and its increment."""
     base = sample_boundary(f, r, n0)
     theta, tangent = base.theta, base.tangent
     inc = turning_increments(tangent)
@@ -167,7 +170,11 @@ def convexity_check_resolved(f: HarmonicMap, r: float, n0: int = TURNING_SAMPLES
             break
         theta, tangent = split_steps(theta, tangent, first,
                                      lambda t: _tangents(f, r * np.exp(1j * t)))
-        inc = turning_increments(tangent)
+        # each split step's first sample has moved 7 places per split step
+        # before it; it and its 7 new successors start the 8 new steps
+        at = ((first + 7 * np.arange(first.size))[:, None] + np.arange(8)).ravel()
+        inc = np.insert(inc, np.repeat(first + 1, 7), 0.0)
+        inc[at] = np.angle(tangent[(at + 1) % tangent.size] / tangent[at])
     return BoundaryCurve(f, r, theta, tangent), verdict_from_increments(inc, theta)
 
 

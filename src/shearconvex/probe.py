@@ -19,7 +19,9 @@ non-convexity of the full image leaves a fixed pocket that never fills in.
 the identity and their rotations), and for the strip map L_lam at eta = -1,
 ``slice_judge`` decides it exactly from two map points: the points sent to
 the line m + sqrt(eta) R form one arc of D_r, and f, univalent by the
-Clunie--Sheil-Small shear theorem, is monotone along it; it also judges a
+Clunie--Sheil-Small shear theorem, is monotone along it.  So each answer
+depends on its own point alone, and a witness search puts the candidates of
+all its anchor radii to the slice in one batch; the slice also judges a
 certificate at NEWTON_R_CAP, Newton's outermost radius.  Every other datum
 keeps the trusted winding number of a refined image curve (``_WindingCurves``).
 
@@ -475,26 +477,35 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     exact slice for a Mobius phi, a trusted winding zero otherwise.
     Hereditary pockets fail the outside gates (the growing image absorbs
     them); chords spanning the image's unbounded end fail the preimage gate.
-    All candidates of one anchor radius go through the outside gates
-    together, one batch per radius from the outermost in, each batch holding
-    only the survivors of the last; the exact slice needs the outermost
-    only, as f(D_r) grows with r.  Newton then takes the survivors in
-    candidate order, whichever judge passed them, and the slice's survivor
-    must also be a 0 at NEWTON_R_CAP, where Newton can miss a preimage.  The
-    search ends at the first anchor radius that certifies a midpoint.
+    The winding curves take an anchor radius's candidates one batch per
+    radius from the outermost in, each batch holding only the survivors of
+    the last.  The exact slice needs the outermost only, as f(D_r) grows with
+    r, and its answer depends on its own point alone, so it judges the
+    candidates of every anchor radius in one batch.  Newton then takes the
+    survivors, deepest anchor radius first and in candidate order, whichever
+    judge passed them, and the slice's survivor must also be a 0 at
+    NEWTON_R_CAP, where Newton can miss a preimage.  The search ends at the
+    first anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
     judge, sliced = _judge(f)
     suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
-    for r_anchor in reversed(suspicious):
-        anchors = _window_anchors(reports[r_anchor])
+    rungs = [(r, _window_anchors(reports[r])) for r in reversed(suspicious)]
+    if sliced:                  # every candidate, tagged with its anchor radius
+        tagged = [(i, m) for i, (r, anchors) in enumerate(rungs)
+                  for m in _candidate_midpoints(f, r, anchors)]
+        outside = [(i, m) for (i, m), w in zip(tagged, judge([m for _, m in tagged], max(ext)))
+                   if w == 0]
+    for i, (r_anchor, anchors) in enumerate(rungs):
         higher = tuple(r for r in cfg.radii if r > r_anchor) + ext
-        probe_order = sorted(higher, reverse=True)[:1 if sliced else None]
-        survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
-        for r in probe_order:
-            if survivors:
-                windings = judge(survivors, r)
-                survivors = [m for m, w in zip(survivors, windings) if w == 0]
+        if sliced:
+            survivors = [m for j, m in outside if j == i]
+        else:
+            survivors = [m for m in _candidate_midpoints(f, r_anchor, anchors)]
+            for r in sorted(higher, reverse=True):
+                if survivors:
+                    windings = judge(survivors, r)
+                    survivors = [m for m, w in zip(survivors, windings) if w == 0]
         for m in survivors:
             if newton_preimage(f, m, anchors) is None \
                     and (not sliced or judge([m], NEWTON_R_CAP) == [0]):

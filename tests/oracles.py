@@ -21,9 +21,12 @@ judged afresh in every round, the reference for its incremental rounds; and
 either judge of "is m in f(D_r)?".
 
 :func:`turning_rate` is the closed-form turning rate of a level curve, the
-reference for the package's sampled turning verdicts, and
+reference for the package's sampled turning verdicts;
 :func:`convexity_check` is that verdict of a curve exactly as sampled, with
-none of the package's refinement.
+none of the package's refinement; and :func:`full_increment_check` is the
+package's refined verdict with every step's width and turning increment
+recomputed over the whole curve in every round, the reference for its
+incremental rounds.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from typing import Callable
 
 import numpy as np
 
-from shearconvex.geometry import (NON_CONVEX_BACKTURN, REFINE_MAX_ROUNDS, REFINE_SAMPLES_MAX,
-                                  BoundaryCurve, ConvexityReport, convexity_check_resolved,
-                                  turning_increments, verdict_from_increments)
+from shearconvex.geometry import (MAX_TRUSTED_STEP, NON_CONVEX_BACKTURN, REFINE_MAX_ROUNDS,
+                                  REFINE_SAMPLES_MAX, TURNING_SAMPLES, BoundaryCurve,
+                                  ConvexityReport, _tangents, convexity_check_resolved,
+                                  sample_boundary, turning_increments, verdict_from_increments)
 from shearconvex.probe import (_WindingCurves, _candidate_midpoints, _extension_radii,
                                _window_anchors)
 from shearconvex.quadrature import ABS_TOL, MAX_DEPTH, ORDER, ToleranceNotMet
@@ -105,6 +109,30 @@ def discrete_winding(gamma, w: complex) -> int:
 def convexity_check(curve: BoundaryCurve) -> ConvexityReport:
     """The turning verdict of ``curve`` at its own samples, refining nothing."""
     return verdict_from_increments(turning_increments(curve.tangent), curve.theta)
+
+
+def full_increment_check(f: HarmonicMap, r: float, splits=None):
+    """``convexity_check_resolved(f, r)`` with every step's width and turning
+    increment recomputed over the whole curve in every round, and the same
+    splits.  Each round's (curve size, indices of the split steps) is appended
+    to ``splits`` if given."""
+    base = sample_boundary(f, r, TURNING_SAMPLES)
+    theta, tangent = base.theta, base.tangent
+    inc = turning_increments(tangent)
+    for _ in range(REFINE_MAX_ROUNDS):
+        first = np.flatnonzero(np.abs(inc) > MAX_TRUSTED_STEP)
+        if not first.size or theta.size + 7 * first.size > REFINE_SAMPLES_MAX:
+            break
+        if splits is not None:
+            splits.append((theta.size, first))
+        widths = (np.roll(theta, -1) - theta) % (2.0 * np.pi)
+        parts = theta[first, None] + widths[first, None] * (np.arange(8) / 8.0)[None, :]
+        new = _tangents(f, r * np.exp(1j * parts[:, 1:]))
+        at = np.repeat(first + 1, 7)
+        theta = np.insert(theta, at, parts[:, 1:].ravel())
+        tangent = np.insert(tangent, at, new.ravel())
+        inc = turning_increments(tangent)
+    return BoundaryCurve(f, r, theta, tangent), verdict_from_increments(inc, theta)
 
 
 def turning_rate(f: HarmonicMap, r: float, theta) -> np.ndarray:

@@ -14,7 +14,7 @@ from shearconvex.probe import _WindingCurves
 from shearconvex.shear import ShearSystem, harmonic_from_analytic, shear_construct
 from shearconvex.specs import DEFAULT_FAMILY, DEFAULT_RADII, family_from_spec, parse_phi
 
-from oracles import convexity_check, discrete_winding, turning_rate
+from oracles import convexity_check, discrete_winding, full_increment_check, turning_rate
 
 IDENTITY = harmonic_from_analytic(catalog(CatalogId("IDENTITY")))
 H_MAP = harmonic_from_analytic(catalog(CatalogId("H")))
@@ -255,3 +255,24 @@ def test_without_refinement_rounds_the_f0_curve_is_inconclusive(f0, monkeypatch)
     curve, rep = convexity_check_resolved(f0, 0.99)
     assert rep.verdict == "INCONCLUSIVE" and rep.max_step > 1.5
     assert curve.n == TURNING_SAMPLES
+
+
+def test_only_the_split_steps_get_new_increments(f0):
+    # a refinement round recomputes the turning increments of the split steps'
+    # 8 parts alone; the report and the refined curve are those of a loop
+    # that recomputes every width and increment over the whole curve in every
+    # round.  The wrap-around step (index n - 1 to 0) is split too
+    cases = [(shear_construct(ShearSystem(parse_phi("H"), family_from_spec(DEFAULT_FAMILY)[0],
+                                          -1.0)), 0.999),
+             (_hrot(1.3231), 0.999), (KOEBE, 0.999), (f0, 0.99)]
+    wrapped = 0
+    for f, r in cases:
+        splits = []
+        ref_curve, ref = full_increment_check(f, r, splits)
+        curve, rep = convexity_check_resolved(f, r)
+        assert splits and rep.n > TURNING_SAMPLES
+        assert rep == ref
+        assert np.array_equal(curve.theta, ref_curve.theta)
+        assert np.array_equal(curve.tangent, ref_curve.tangent)
+        wrapped += sum(n - 1 in first for n, first in splits)
+    assert wrapped > 0

@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 import shearconvex.probe
 from shearconvex.functions import (BlaschkeOmega, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
-from shearconvex.geometry import (TURNING_SAMPLES, ConvexityReport, convexity_check_resolved,
-                                  directional_convexity_check, sample_boundary)
+from shearconvex.geometry import (NON_CONVEX_BACKTURN, TURNING_SAMPLES, ConvexityReport,
+                                  convexity_check_resolved, directional_convexity_check,
+                                  sample_boundary)
 from shearconvex.probe import (NEWTON_CAP_STRIKES, NEWTON_ITERS, NEWTON_R_CAP, NEWTON_TOL,
                                ONSET_STEPS, WINDING_SAMPLES, ProbeConfig,
-                               _WindingCurves, _extension_radii, midpoint_certificate,
-                               newton_preimage, probe_admissibility, slice_judge)
+                               _WindingCurves, _disk_ends, _extension_radii, _strip_ends,
+                               midpoint_certificate, newton_preimage, probe_admissibility,
+                               slice_judge)
 from shearconvex.quadrature import ToleranceNotMet
 from shearconvex.shear import (HarmonicMap, ShearSystem, analytic_combination,
                                harmonic_from_analytic, shear_construct)
-from shearconvex.specs import family_from_spec, parse_omega, parse_phi
+from shearconvex.specs import DEFAULT_FAMILY, family_from_spec, parse_omega, parse_phi
 
 from oracles import witness_queries
 
@@ -423,6 +425,57 @@ def test_no_planted_rim_preimage_is_certified(monkeypatch):
                     if shearconvex.probe._persistent_witness(f, cfg, reports) is not None:
                         certified.append((phi, omega.spec.text, rho, k))
     assert certified == []
+
+
+def _slice_ends(f, m, r):
+    """The arc ends on |z| = r that ``slice_judge`` maps for the points m."""
+    phi, u = f.shear.phi, np.sqrt(f.shear.eta)
+    if phi.mobius is not None:
+        return _disk_ends(phi.mobius, u, m, r)[1]
+    return _strip_ends(phi.strip, m, r)[1]
+
+
+@pytest.mark.parametrize("phi", ["H", "H@rot:re=0.0,im=1.0", "Llambda:re=0.0,im=1.0"])
+def test_one_slice_batch_per_datum_gives_each_radius_its_own_answers(phi):
+    # the witness search judges the candidates of every anchor radius in one
+    # slice call at the outermost radius.  Each answer depends on its own
+    # point alone: the batch's answers are the per-radius batches' answers,
+    # its arc ends theirs, and the map points of those ends theirs bit for bit
+    top = max(_extension_radii(0.999))
+    for omega in family_from_spec(DEFAULT_FAMILY)[::15]:
+        f = shear_construct(ShearSystem(parse_phi(phi), omega, -1.0))
+        batches = [b for b, r in witness_queries(f, (0.9, 0.99, 0.999)) if r == top]
+        assert len(batches) >= 2
+        assert slice_judge(f, sum(batches, []), top) \
+            == sum((slice_judge(f, b, top) for b in batches), [])
+        ends = [_slice_ends(f, np.array(b), top) for b in batches]
+        assert np.array_equal(_slice_ends(f, np.array(sum(batches, [])), top),
+                              np.concatenate(ends, axis=1))
+        assert np.array_equal(f.map_points(np.concatenate(ends, axis=1)),
+                              np.concatenate([f.map_points(z) for z in ends], axis=1))
+
+
+@pytest.mark.parametrize("phi", ["H", "Llambda:re=0.0,im=1.0"])
+def test_a_clean_slice_probe_asks_the_slice_once_per_searched_omega(phi, monkeypatch):
+    # every dilatation with a back-turning level curve is searched by one
+    # slice call below NEWTON_R_CAP, however many of its ladder radii
+    # back-turn; no candidate survives it, so none is asked at the cap
+    asked = []
+
+    def recording(f, points, r):
+        asked.append((f, r))
+        return slice_judge(f, points, r)
+
+    monkeypatch.setattr(shearconvex.probe, "slice_judge", recording)
+    rep = probe_admissibility(ProbeConfig(phi_spec=phi, eta=-1.0 + 0.0j))
+    assert rep.summary == "NO_FAILURE_FOUND"
+    searched = [rows for rows in rep.per_omega.values()
+                if any(row["verdict"] == "NON_CONVEX" for row in rows.values())]
+    suspicious = sum(row["worst_backturn"] > NON_CONVEX_BACKTURN
+                     for rows in searched for row in rows.values())
+    assert suspicious > len(searched) > 0
+    assert len(asked) == len({id(f) for f, _ in asked}) == len(searched)
+    assert NEWTON_R_CAP not in {r for _, r in asked}
 
 
 _GATE_ROWS = [
