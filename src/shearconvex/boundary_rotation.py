@@ -10,6 +10,7 @@ Trapezoid sums on uniform angles are spectrally accurate but alias the
 Fourier tail: with n points the error behaves like 4 r^n, so n grows with r
 (32768 points at r = 0.999 bring the alias below 1e-9); a radius needing
 more than ``MAX_ANGLE_SAMPLES`` (r > 0.999994) is refused, not allocated.
+e^{i theta} comes from the turning checks' table (``geometry._circle``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .functions import AnalyticFunction, MonomialOmega, make_schwarz
+from .geometry import _circle
 from .shear import ShearSystem, analytic_combination, shear_construct
 from .specs import DEFAULT_RADII
 
@@ -48,8 +50,7 @@ def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
     if n > MAX_ANGLE_SAMPLES:
         raise ValueError(f"radius r = {r!r} needs {n} angles, above the cap of "
                          f"{MAX_ANGLE_SAMPLES}; use a radius of at most 0.99999")
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    z = r * np.exp(1j * theta)
+    z = r * _circle(n)[1]
     d1, d2 = phi.d1(z), phi.d2(z)      # the value channel may be quadrature: never read it
     if np.abs(d1).min() < 1e-12:
         raise ValueError(f"phi' vanishes on |z| = {r}; boundary rotation undefined")

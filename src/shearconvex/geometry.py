@@ -75,12 +75,18 @@ def _unit_circle(n: int):
     return theta, u
 
 
+def _circle(n: int):
+    """``_unit_circle(n)`` for curves and boundary-rotation values, built for this
+    call alone past REFINE_SAMPLES_MAX angles: at most 8 tables of 3 MiB stay."""
+    return (_unit_circle if n <= REFINE_SAMPLES_MAX else _unit_circle.__wrapped__)(n)
+
+
 def sample_boundary(f: HarmonicMap, r: float, n: int) -> BoundaryCurve:
     if not 0.0 < r < 1.0:
         raise ValueError("radius must satisfy 0 < r < 1")
     if n < 64:
         raise ValueError("need at least 64 samples")
-    theta, u = _unit_circle(int(n))
+    theta, u = _circle(int(n))
     return BoundaryCurve(f, r, theta, _tangents(f, r * u))
 
 

@@ -359,15 +359,16 @@ def _record(rep: ConvexityReport) -> dict:
     return rec
 
 
-def _candidate_midpoints(f: HarmonicMap, r: float, anchors: Sequence[float]) -> list:
-    """Chord midpoints of radius-r image points bracketing the given anchors.
+def _candidate_midpoints(f: HarmonicMap, r, anchors: Sequence[float]) -> list:
+    """Chord midpoints of |z| = r image points bracketing the given anchors,
+    in anchor order; r is one radius or one per anchor.
 
     Both chord endpoints are image points, so any midpoint that stays
     outside the image curve at every larger radius certifies non-convexity
     of the full image.
     """
     deltas = np.pi * np.array(BRACKETS)
-    a = np.asarray(anchors, dtype=float)[:, None]
+    a, r = np.asarray(anchors, dtype=float)[:, None], np.reshape(r, (-1, 1))
     w = f.map_points(r * np.exp(1j * np.concatenate([a - deltas, a + deltas], axis=1)))
     k = len(BRACKETS)
     return [complex(v) for v in ((w[:, :k] + w[:, k:]) / 2.0).ravel()]
@@ -481,19 +482,20 @@ def _persistent_witness(f: HarmonicMap, cfg: ProbeConfig, reports: dict
     radius from the outermost in, each batch holding only the survivors of
     the last.  The exact slice needs the outermost only, as f(D_r) grows with
     r, and its answer depends on its own point alone, so it judges the
-    candidates of every anchor radius in one batch.  Newton then takes the
-    survivors, deepest anchor radius first and in candidate order, whichever
-    judge passed them, and the slice's survivor must also be a 0 at
-    NEWTON_R_CAP, where Newton can miss a preimage.  The search ends at the
-    first anchor radius that certifies a midpoint.
+    candidates of every anchor radius in one batch from one map call.  Newton
+    then takes the survivors, deepest anchor radius first and in candidate
+    order, whichever judge passed them, and the slice's survivor must also be
+    a 0 at NEWTON_R_CAP, where Newton can miss a preimage.  The search ends
+    at the first anchor radius that certifies a midpoint.
     """
     ext = _extension_radii(cfg.radii[-1])
     judge, sliced = _judge(f)
     suspicious = [r for r in cfg.radii if reports[r].worst_backturn > NON_CONVEX_BACKTURN]
     rungs = [(r, _window_anchors(reports[r])) for r in reversed(suspicious)]
     if sliced:                  # every candidate, tagged with its anchor radius
-        tagged = [(i, m) for i, (r, anchors) in enumerate(rungs)
-                  for m in _candidate_midpoints(f, r, anchors)]
+        flat = [(i, r, a) for i, (r, anchors) in enumerate(rungs) for a in anchors]
+        tagged = list(zip([i for i, _, _ in flat for _ in BRACKETS], _candidate_midpoints(
+            f, [r for _, r, _ in flat], [a for _, _, a in flat])))
         outside = [(i, m) for (i, m), w in zip(tagged, judge([m for _, m in tagged], max(ext)))
                    if w == 0]
     for i, (r_anchor, anchors) in enumerate(rungs):

@@ -27,6 +27,10 @@ none of the package's refinement; and :func:`full_increment_check` is the
 package's refined verdict with every step's width and turning increment
 recomputed over the whole curve in every round, the reference for its
 incremental rounds.
+
+:func:`boundary_rotation_value` is the package's boundary-rotation value
+with r e^{i theta} built afresh from ``np.linspace`` on every call, the
+reference for the shared circle table it reads instead.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from typing import Callable
 
 import numpy as np
 
+from shearconvex.boundary_rotation import RotationValue, _angle_count
+from shearconvex.functions import AnalyticFunction
 from shearconvex.geometry import (MAX_TRUSTED_STEP, NON_CONVEX_BACKTURN, REFINE_MAX_ROUNDS,
                                   REFINE_SAMPLES_MAX, TURNING_SAMPLES, BoundaryCurve,
                                   ConvexityReport, _tangents, convexity_check_resolved,
@@ -209,3 +215,13 @@ def witness_queries(f: HarmonicMap, ladder) -> list:
         batch = list(_candidate_midpoints(f, r_anchor, _window_anchors(reports[r_anchor])))
         queries.extend((batch, r) for r in higher)
     return queries
+
+
+def boundary_rotation_value(phi: AnalyticFunction, r: float) -> RotationValue:
+    """The package's value at its own angle count, from angles and points of
+    its own: (2/n) * sum of |Re(1 + z phi''/phi')| over z = r exp(i theta)."""
+    n = _angle_count(r)
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    z = r * np.exp(1j * theta)
+    d1, d2 = phi.d1(z), phi.d2(z)
+    return RotationValue(r, float(2.0 * np.abs((1.0 + z * d2 / d1).real).mean()), n)

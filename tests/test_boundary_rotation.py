@@ -7,7 +7,11 @@ from shearconvex.boundary_rotation import (MAX_ANGLE_SAMPLES, _angle_count,
 from shearconvex.cli import main
 from shearconvex.functions import (AnalyticFunction, CatalogId, MonomialOmega,
                                    catalog, make_schwarz)
+from shearconvex.geometry import REFINE_SAMPLES_MAX, _circle, _unit_circle
 from shearconvex.shear import ShearSystem, shear_construct
+from shearconvex.specs import DEFAULT_RADII
+
+import oracles
 
 LADDER = (0.9, 0.99, 0.999)
 CONVEX_IDS = [CatalogId("H"), CatalogId("H_ROT_MINUS1"),
@@ -151,3 +155,32 @@ def test_brannan_transform_needs_normalized_data():
     # psi is built from the shear of (phi, lam z^N, -1), whose phi must be in S
     with pytest.raises(ValueError, match="must satisfy phi"):
         brannan_transform(catalog(CatalogId("F0_G_PART")), 1.0, 1)
+
+
+_H = catalog(CatalogId("H"))
+_ROTATION_PHIS = ([catalog(CatalogId(kind, 1j if kind == "L_LAMBDA" else None))
+                   for kind in CatalogId.KINDS]
+                  + [brannan_transform(_H, -1.0, 1), brannan_transform(_H, 1.0, 2),
+                     brannan_transform(_H, 1j, 3)])
+
+
+@pytest.mark.parametrize("phi", _ROTATION_PHIS, ids=lambda phi: phi.label)
+def test_values_equal_the_fresh_grid_reference_bitwise(phi):
+    # the shared table's r * e^{i theta} is the array a fresh linspace and
+    # exp build, so every value is the same float
+    for r in (0.5,) + DEFAULT_RADII:
+        assert boundary_rotation_value(phi, r) == oracles.boundary_rotation_value(phi, r)
+
+
+def test_grids_past_the_table_bound_are_not_kept():
+    # r = 0.9999 needs 2^18 angles, twice the longest curve the library
+    # builds: the table is built for the call alone and the cache is not asked
+    assert _angle_count(0.9999) == 262144 > REFINE_SAMPLES_MAX
+    before = _unit_circle.cache_info()
+    theta, u = _circle(262144)
+    assert theta.size == u.size == 262144 and not u.flags.writeable
+    boundary_rotation_value(_H, 0.9999)
+    assert _unit_circle.cache_info() == before
+    # a table within the bound is the resident one
+    assert _circle(REFINE_SAMPLES_MAX) is _circle(REFINE_SAMPLES_MAX)
+    assert _unit_circle.cache_info().currsize <= _unit_circle.cache_info().maxsize

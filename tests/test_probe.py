@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import platform
@@ -476,6 +477,45 @@ def test_a_clean_slice_probe_asks_the_slice_once_per_searched_omega(phi, monkeyp
     assert suspicious > len(searched) > 0
     assert len(asked) == len({id(f) for f, _ in asked}) == len(searched)
     assert NEWTON_R_CAP not in {r for _, r in asked}
+
+
+@pytest.mark.parametrize("phi", ["H", "H@rot:re=0.0,im=1.0", "Llambda:re=0.0,im=1.0"])
+def test_one_candidate_call_gives_each_anchor_radius_its_own_midpoints(phi):
+    # a slice datum's witness search builds the candidates of every anchor
+    # radius in one call, one radius per anchor; each map point freezes its
+    # quadrature at its own depth, so they are the per-radius calls' bit for bit
+    for omega in family_from_spec(DEFAULT_FAMILY)[::15]:
+        f = shear_construct(ShearSystem(parse_phi(phi), omega, -1.0))
+        reports = {r: convexity_check_resolved(f, r)[1] for r in (0.9, 0.99, 0.999)}
+        rungs = [(r, shearconvex.probe._window_anchors(rep)) for r, rep in reports.items()
+                 if rep.worst_backturn > NON_CONVEX_BACKTURN][::-1]
+        assert len(rungs) >= 2
+        batch = shearconvex.probe._candidate_midpoints(
+            f, [r for r, anchors in rungs for _ in anchors],
+            [a for _, anchors in rungs for a in anchors])
+        per_radius = sum((shearconvex.probe._candidate_midpoints(f, r, anchors)
+                          for r, anchors in rungs), [])
+        assert np.array_equal(batch, per_radius)
+
+
+@pytest.mark.parametrize("phi", ["H", "Llambda:re=0.0,im=1.0"])
+def test_a_clean_slice_probe_maps_points_twice_per_searched_omega(phi, monkeypatch):
+    # one map call builds every candidate of a searched dilatation, one more
+    # maps the ends of their slices; a probe with no failure makes no other
+    mapped = []
+    map_points = HarmonicMap.map_points
+
+    def recording(f, zs):
+        mapped.append(f)                # kept alive: its id stays its own
+        return map_points(f, zs)
+
+    monkeypatch.setattr(HarmonicMap, "map_points", recording)
+    rep = probe_admissibility(ProbeConfig(phi_spec=phi, eta=-1.0 + 0.0j))
+    assert rep.summary == "NO_FAILURE_FOUND"
+    searched = [rows for rows in rep.per_omega.values()
+                if any(row["verdict"] == "NON_CONVEX" for row in rows.values())]
+    assert len(searched) > 0
+    assert sorted(collections.Counter(map(id, mapped)).values()) == [2] * len(searched)
 
 
 _GATE_ROWS = [
